@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the heavy kernels: digital LNN
 // inference, CNN inference, the metasurface configuration solver, one
-// over-the-air symbol-sequence transmission, and the dispatched SIMD
+// over-the-air symbol-sequence transmission (plus a depth-3 cascade one,
+// with and without a prepared response plan), and the dispatched SIMD
 // kernels (simd/kernels.h) in scalar-vs-AVX2 arms. These ground the
 // energy model's server-compute assumptions in measured numbers on this
-// machine and gate the vectorization win (>= 2x on at least two kernels
-// when the host has AVX2).
+// machine and gate two wins: vectorization (>= 2x on at least two
+// kernels when the host has AVX2) and prepared plans (>= 1.8x on the
+// cascade transmission).
 //
 // Counter hygiene: google-benchmark picks its iteration counts
 // adaptively, so any obs counters emitted inside the timing loops are
@@ -91,6 +93,41 @@ void BM_OtaTransmitSequence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OtaTransmitSequence);
+
+// Prepared response plans: one 64-symbol transmission over a depth-3
+// cascade of 16x16 panels. Unprepared, every symbol pays three PhasedSum
+// calls (front panel plus two upper layers); prepared, the link goes
+// straight to the receive loop. GatePreparedLink scores the two arms.
+void BM_OtaTransmitCascade(benchmark::State& state, bool prepared) {
+  constexpr std::size_t kSymbols = 64;
+  const mts::LayerGraph graph(std::vector<mts::PhysicalLayerSpec>(3));
+  sim::OtaLink link(graph, DefaultLinkConfig());
+  Rng rng(9);
+  const auto random_schedule = [&](std::size_t atoms) {
+    sim::MtsSchedule schedule(kSymbols, std::vector<mts::PhaseCode>(atoms));
+    for (auto& codes : schedule) {
+      for (auto& code : codes) {
+        code = static_cast<mts::PhaseCode>(rng.UniformInt(std::uint64_t{4}));
+      }
+    }
+    return schedule;
+  };
+  const sim::MtsSchedule schedule = random_schedule(graph.front().num_atoms());
+  sim::LayerSchedules upper;
+  for (std::size_t l = 1; l < graph.depth(); ++l) {
+    upper.push_back(random_schedule(graph.layer(l).num_atoms()));
+  }
+  std::vector<sim::Complex> data(kSymbols);
+  for (sim::Complex& x : data) x = rng.UnitPhasor();
+  if (prepared) link.Prepare(schedule, upper);
+  Rng noise_rng(10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        link.TransmitSequence(data, schedule, upper, 0.0, noise_rng));
+  }
+}
+BENCHMARK_CAPTURE(BM_OtaTransmitCascade, unprepared, false);
+BENCHMARK_CAPTURE(BM_OtaTransmitCascade, prepared, true);
 
 void BM_WeightMappingPerSymbol(benchmark::State& state) {
   const auto& ds = SharedDataset();
@@ -312,6 +349,34 @@ int GateSimdSpeedups(const std::map<std::string, double>& times_ns) {
   return 0;
 }
 
+/// Scores the prepared-plan arms: a prepared depth-3 transmission must
+/// run at least 1.8x faster than the unprepared one. Skipped when a
+/// --benchmark_filter left either arm out.
+int GatePreparedLink(const std::map<std::string, double>& times_ns) {
+  constexpr double kMinSpeedup = 1.8;
+  const auto unprepared = times_ns.find("BM_OtaTransmitCascade/unprepared");
+  const auto prepared = times_ns.find("BM_OtaTransmitCascade/prepared");
+  if (unprepared == times_ns.end() || prepared == times_ns.end()) {
+    std::cout << "(prepared-link arms filtered out; gate skipped)\n";
+    return 0;
+  }
+  const double speedup = unprepared->second / prepared->second;
+  Table table("Depth-3 16x16 transmission: unprepared vs prepared plan",
+              {"Unprepared ns", "Prepared ns", "Speedup"});
+  table.AddRow({FormatDouble(unprepared->second, 1),
+                FormatDouble(prepared->second, 1),
+                FormatDouble(speedup, 2)});
+  table.Print(std::cout);
+  if (speedup < kMinSpeedup) {
+    std::fprintf(stderr,
+                 "FAILED: prepared transmission only %.2fx faster than "
+                 "unprepared (need %.1fx)\n",
+                 speedup, kMinSpeedup);
+    return 1;
+  }
+  return 0;
+}
+
 // Console reporter that also records each benchmark's adjusted real
 // time as a BenchReport headline, so micro-kernel timings land in
 // BENCH_micro_kernels.json alongside the other bench documents and can
@@ -358,5 +423,7 @@ int main(int argc, char** argv) {
   }
   benchmark::Shutdown();
   metaai::bench::FixedIterationCounterPass();
-  return metaai::bench::GateSimdSpeedups(times_ns);
+  const int simd_gate = metaai::bench::GateSimdSpeedups(times_ns);
+  const int plan_gate = metaai::bench::GatePreparedLink(times_ns);
+  return simd_gate != 0 ? simd_gate : plan_gate;
 }

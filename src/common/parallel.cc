@@ -42,7 +42,7 @@ struct Job {
   std::size_t n = 0;
   std::size_t chunks = 0;
   std::vector<std::exception_ptr> errors;
-  std::atomic<std::size_t> remaining{0};
+  std::size_t remaining = 0;  // chunks not yet finished; guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
 };
@@ -81,7 +81,7 @@ class Pool {
 
   void Run(Job& job) {
     EnsureWorkers(job.chunks - 1);
-    job.remaining.store(job.chunks, std::memory_order_relaxed);
+    job.remaining = job.chunks;  // published to workers by the queue lock
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       for (std::size_t c = 1; c < job.chunks; ++c) {
@@ -92,9 +92,7 @@ class Pool {
     RunChunk(job, 0);
     Finish(job);
     std::unique_lock<std::mutex> lock(job.done_mutex);
-    job.done_cv.wait(lock, [&] {
-      return job.remaining.load(std::memory_order_acquire) == 0;
-    });
+    job.done_cv.wait(lock, [&] { return job.remaining == 0; });
   }
 
  private:
@@ -127,11 +125,13 @@ class Pool {
     }
   }
 
+  // The decrement happens under done_mutex: the waiter in Run may return
+  // (and destroy the stack-allocated Job) as soon as it sees zero, so no
+  // worker may touch the Job after the final decrement unless it holds
+  // the mutex the waiter must reacquire first.
   static void Finish(Job& job) {
-    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      const std::lock_guard<std::mutex> lock(job.done_mutex);
-      job.done_cv.notify_all();
-    }
+    const std::lock_guard<std::mutex> lock(job.done_mutex);
+    if (--job.remaining == 0) job.done_cv.notify_all();
   }
 
   std::mutex mutex_;

@@ -107,6 +107,7 @@ Deployment::Deployment(const TrainedModel& model,
       link_(surface, DeployLinkConfig(std::move(link_config), model, options)),
       schedules_(MapWeights(model.network.weights(), link_,
                             DeployMappingOptions(options))) {
+  PrepareRounds();
   EmitScheduleProbes();
 }
 
@@ -119,7 +120,22 @@ Deployment::Deployment(const TrainedModel& model, const mts::LayerGraph& graph,
       link_(graph, DeployLinkConfig(std::move(link_config), model, options)),
       schedules_(MapWeights(model.network.weights(), link_,
                             DeployMappingOptions(options))) {
+  PrepareRounds();
   EmitScheduleProbes();
+}
+
+const sim::LayerSchedules& Deployment::UpperRound(std::size_t round) const {
+  static const sim::LayerSchedules kNoUpperLayers;
+  return schedules_.upper_rounds.empty() ? kNoUpperLayers
+                                         : schedules_.upper_rounds[round];
+}
+
+void Deployment::PrepareRounds() {
+  // Plans are pure functions of the schedules, so the fan-out leaves them
+  // identical for any thread count.
+  par::ParallelFor(schedules_.rounds.size(), [&](std::size_t round) {
+    link_.Prepare(schedules_.rounds[round], UpperRound(round));
+  });
 }
 
 void Deployment::EmitScheduleProbes() const {
@@ -164,20 +180,16 @@ std::vector<double> Deployment::ClassScores(const std::vector<double>& pixels,
     const obs::ScopedSpan round_span = obs::Span("ota.round");
     round_span.Arg("round", static_cast<double>(round));
     // Deep links carry a per-round upper-layer schedule solved jointly
-    // with the front panel; single-surface mappings keep the legacy call
-    // so depth-1 deployments stay on the exact pre-cascade code path.
+    // with the front panel; depth-1 links pass an empty one.
     const ComplexMatrix z =
-        schedules_.upper_rounds.empty()
-            ? link_.TransmitSequence(symbols, schedules_.rounds[round],
-                                     mts_clock_offset_us, rng)
-            : link_.TransmitSequence(symbols, schedules_.rounds[round],
-                                     schedules_.upper_rounds[round],
-                                     mts_clock_offset_us, rng);
+        link_.TransmitSequence(symbols, schedules_.rounds[round],
+                               UpperRound(round), mts_clock_offset_us, rng);
     const auto& outputs = schedules_.outputs[round];
     for (std::size_t o = 0; o < outputs.size(); ++o) {
       if (outputs[o] < 0) continue;
+      const sim::Complex* row = z.row(o);
       sim::Complex acc{0.0, 0.0};
-      for (std::size_t i = 0; i < z.cols(); ++i) acc += z(o, i);
+      for (std::size_t i = 0; i < z.cols(); ++i) acc += row[i];
       scores[static_cast<std::size_t>(outputs[o])] = std::abs(acc);
     }
   }

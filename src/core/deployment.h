@@ -6,6 +6,12 @@
 // transmitting them through the simulated channel: for each transmission
 // round the per-symbol measurements are accumulated (Eqn 3) into class
 // scores y_r = |sum_i z_{r,i}|.
+//
+// Construction prepares the link's response plan for every round
+// (sim::OtaLink::Prepare). A moved deployment keeps its plans, since the
+// schedules it moves stay at the same addresses; a copy's link starts
+// without plans and transmits through the unprepared path, bit for bit
+// the same.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +117,10 @@ class Deployment {
                                   std::size_t max_samples = 0) const;
 
  private:
+  /// Upper-layer schedules of `round`; empty on depth-1 links.
+  const sim::LayerSchedules& UpperRound(std::size_t round) const;
+  /// Prepares one link response plan per round, fanned out over rounds.
+  void PrepareRounds();
   void EmitScheduleProbes() const;
 
   rf::Modulation modulation_;

@@ -1,6 +1,7 @@
 #include "sim/link.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.h"
@@ -97,18 +98,14 @@ OtaLink::OtaLink(const mts::Metasurface& surface, OtaLinkConfig config)
   const rf::MultipathChannel base_env =
       make_environment(config_.geometry, channel_rng);
   for (const Observation& obs : config_.observations) {
-    ObservationState state{
-        .steering = {},
-        .mts_amplitude = 0.0,
-        .environment =
-            [&] {
-              if (obs.geometry.has_value()) {
-                Rng fork = channel_rng.Fork();
-                return make_environment(*obs.geometry, fork);
-              }
-              return base_env;
-            }(),
-        .env_gain = 1.0};
+    ObservationState state;
+    if (obs.geometry.has_value()) {
+      Rng fork = channel_rng.Fork();
+      state.env_response =
+          make_environment(*obs.geometry, fork).Response(obs.freq_offset_hz);
+    } else {
+      state.env_response = base_env.Response(obs.freq_offset_hz);
+    }
     const mts::LinkGeometry& geometry =
         obs.geometry.has_value() ? *obs.geometry : config_.geometry;
     state.steering = surface_.SteeringVector(geometry, obs.freq_offset_hz);
@@ -226,6 +223,48 @@ Complex OtaLink::UpperLayerFactor(
   return factor;
 }
 
+void OtaLink::PlanTable::Insert(ResponsePlan plan) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (ResponsePlan& existing : plans_) {
+    if (existing.schedule == plan.schedule && existing.upper == plan.upper) {
+      existing = std::move(plan);
+      return;
+    }
+  }
+  plans_.push_back(std::move(plan));
+}
+
+const ComplexMatrix* OtaLink::PlanTable::Find(
+    const MtsSchedule* schedule, const LayerSchedules* upper) const {
+  for (const ResponsePlan& plan : plans_) {
+    if (plan.schedule == schedule && plan.upper == upper) {
+      return &plan.response;
+    }
+  }
+  return nullptr;
+}
+
+const LayerSchedules* OtaLink::UpperKey(const LayerSchedules& upper) const {
+  return num_layers() > 1 ? &upper : nullptr;
+}
+
+ComplexMatrix OtaLink::BaseResponses(const MtsSchedule& schedule) const {
+  const std::size_t num_obs = observations_.size();
+  const std::size_t num_symbols = schedule.size();
+  const std::size_t atoms = surface_.num_atoms();
+  ComplexMatrix base(num_obs, num_symbols);
+  for (std::size_t o = 0; o < num_obs; ++o) {
+    const ObservationState& state = observations_[o];
+    Complex* row = base.row(o);
+    for (std::size_t i = 0; i < num_symbols; ++i) {
+      row[i] = simd::PhasedSum(state.tx_steer_re.data(),
+                               state.tx_steer_im.data(), schedule[i].data(),
+                               atoms);
+    }
+  }
+  return base;
+}
+
 ComplexMatrix OtaLink::UpperFactors(const LayerSchedules& upper,
                                     std::size_t num_symbols) const {
   const std::size_t num_obs = observations_.size();
@@ -234,15 +273,36 @@ ComplexMatrix OtaLink::UpperFactors(const LayerSchedules& upper,
     for (std::size_t o = 0; o < num_obs; ++o) {
       const UpperLayerState& state = upper_[u][o];
       const std::size_t atoms = state.steering.size();
+      Complex* row = factors.row(o);
       for (std::size_t i = 0; i < num_symbols; ++i) {
-        factors(o, i) *= state.coupling *
-                         simd::PhasedSum(state.steer_re.data(),
-                                         state.steer_im.data(),
-                                         upper[u][i].data(), atoms);
+        row[i] *= state.coupling * simd::PhasedSum(state.steer_re.data(),
+                                                   state.steer_im.data(),
+                                                   upper[u][i].data(), atoms);
       }
     }
   }
   return factors;
+}
+
+void OtaLink::ApplyUpperFactors(const LayerSchedules& upper,
+                                ComplexMatrix& base,
+                                ComplexMatrix* base_flip) const {
+  // Folding U into the front-panel responses before the amplitude
+  // scaling, the probes and the equalizer keeps the mid-symbol flip
+  // (-B * U == -(B * U)), the EVM reference and the soft-margin
+  // denominator consistent for free. Depth-1 links skip this entirely,
+  // bit for bit.
+  if (upper.empty()) return;
+  const ComplexMatrix factors = UpperFactors(upper, base.cols());
+  for (std::size_t o = 0; o < base.rows(); ++o) {
+    const Complex* factor_row = factors.row(o);
+    Complex* base_row = base.row(o);
+    Complex* flip_row = base_flip != nullptr ? base_flip->row(o) : nullptr;
+    for (std::size_t i = 0; i < base.cols(); ++i) {
+      base_row[i] *= factor_row[i];
+      if (flip_row != nullptr) flip_row[i] *= factor_row[i];
+    }
+  }
 }
 
 std::vector<Complex> OtaLink::SteeringVector(std::size_t o) const {
@@ -257,8 +317,7 @@ double OtaLink::MtsPathAmplitude(std::size_t o) const {
 
 Complex OtaLink::EnvironmentResponse(std::size_t o) const {
   CheckIndex(o, observations_.size(), "observation");
-  return tx_amplitude_ * observations_[o].environment.Response(
-                             config_.observations[o].freq_offset_hz);
+  return tx_amplitude_ * observations_[o].env_response;
 }
 
 double OtaLink::SymbolNoiseVariance() const { return noise_power_; }
@@ -284,15 +343,11 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
                           rng);
 }
 
-ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
-                                        const MtsSchedule& schedule,
-                                        const LayerSchedules& upper,
-                                        double mts_clock_offset_us,
-                                        Rng& rng) const {
-  const std::size_t num_symbols = data.size();
+void OtaLink::CheckSchedules(const MtsSchedule& schedule,
+                             const LayerSchedules& upper,
+                             std::size_t num_symbols) const {
   Check(num_symbols > 0, "empty transmission");
   Check(schedule.size() == num_symbols, "schedule length mismatch");
-  const std::size_t num_obs = observations_.size();
   const std::size_t atoms = surface_.num_atoms();
   for (const auto& codes : schedule) {
     if (codes.size() != atoms) {
@@ -311,15 +366,41 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
             "upper schedule config size mismatch");
     }
   }
+}
+
+void OtaLink::Prepare(const MtsSchedule& schedule,
+                      const LayerSchedules& upper) {
+  CheckSchedules(schedule, upper, schedule.size());
+  const fault::FaultInjector* faults = config_.faults.get();
+  if (faults != nullptr && faults->AffectsPatterns()) return;
+  ResponsePlan plan{.schedule = &schedule,
+                    .upper = UpperKey(upper),
+                    .response = BaseResponses(schedule)};
+  ApplyUpperFactors(upper, plan.response, nullptr);
+  plans_.Insert(std::move(plan));
+}
+
+ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
+                                        const MtsSchedule& schedule,
+                                        const LayerSchedules& upper,
+                                        double mts_clock_offset_us,
+                                        Rng& rng) const {
+  const std::size_t num_symbols = data.size();
+  CheckSchedules(schedule, upper, num_symbols);
+  const std::size_t num_obs = observations_.size();
 
   // Bulk event counts for this transmission (per-sample counting would
-  // dominate the loop below).
+  // dominate the receive loop).
   obs::Count("link.transmissions");
   obs::Count("link.symbols", num_symbols);
   obs::Count("link.channel_applications", num_obs * num_symbols);
   obs::Count("link.awgn_draws",
              num_obs * num_symbols *
                  static_cast<std::size_t>(config_.oversample));
+
+  if (const ComplexMatrix* plan = plans_.Find(&schedule, UpperKey(upper))) {
+    return Receive(data, *plan, nullptr, mts_clock_offset_us, rng);
+  }
 
   // Per-symbol base responses B(o, i) = sum_m steering * phasor, using
   // the hardware's (device-error-perturbed) steering.
@@ -333,65 +414,55 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
   // cancels the stuck atoms' (static) contribution.
   const fault::FaultInjector* faults = config_.faults.get();
   const bool pattern_faults = faults != nullptr && faults->AffectsPatterns();
-  const bool use_flip_matrix = pattern_faults && config_.multipath_cancellation;
+  if (!pattern_faults) {
+    ComplexMatrix base = BaseResponses(schedule);
+    ApplyUpperFactors(upper, base, nullptr);
+    return Receive(data, base, nullptr, mts_clock_offset_us, rng);
+  }
+  const std::size_t atoms = surface_.num_atoms();
+  Check(faults->num_atoms() == atoms,
+        "fault injector atom count must match the surface");
+  const bool use_flip_matrix = config_.multipath_cancellation;
   ComplexMatrix base(num_obs, num_symbols);
   ComplexMatrix base_flip(use_flip_matrix ? num_obs : 0,
                           use_flip_matrix ? num_symbols : 0);
-  if (!pattern_faults) {
+  std::vector<mts::PhaseCode> loaded(atoms);
+  std::size_t bit_flips = 0;
+  std::size_t stuck_overrides = 0;
+  const auto realize = [&](ComplexMatrix& out, std::size_t i) {
+    bit_flips += faults->CorruptLoad(loaded, rng);
+    stuck_overrides += faults->ApplyStuck(loaded);
     for (std::size_t o = 0; o < num_obs; ++o) {
       const ObservationState& state = observations_[o];
-      for (std::size_t i = 0; i < num_symbols; ++i) {
-        base(o, i) = simd::PhasedSum(state.tx_steer_re.data(),
-                                     state.tx_steer_im.data(),
-                                     schedule[i].data(), atoms);
-      }
+      out(o, i) = simd::PhasedSum(state.tx_steer_re.data(),
+                                  state.tx_steer_im.data(), loaded.data(),
+                                  atoms);
     }
-  } else {
-    Check(faults->num_atoms() == atoms,
-          "fault injector atom count must match the surface");
-    std::vector<mts::PhaseCode> loaded(atoms);
-    std::size_t bit_flips = 0;
-    std::size_t stuck_overrides = 0;
-    const auto realize = [&](ComplexMatrix& out, std::size_t i) {
-      bit_flips += faults->CorruptLoad(loaded, rng);
-      stuck_overrides += faults->ApplyStuck(loaded);
-      for (std::size_t o = 0; o < num_obs; ++o) {
-        const ObservationState& state = observations_[o];
-        out(o, i) = simd::PhasedSum(state.tx_steer_re.data(),
-                                    state.tx_steer_im.data(), loaded.data(),
-                                    atoms);
+  };
+  for (std::size_t i = 0; i < num_symbols; ++i) {
+    loaded = schedule[i];
+    realize(base, i);
+    if (use_flip_matrix) {
+      for (std::size_t m = 0; m < atoms; ++m) {
+        loaded[m] = mts::OppositeCode(schedule[i][m]);
       }
-    };
-    for (std::size_t i = 0; i < num_symbols; ++i) {
-      loaded = schedule[i];
-      realize(base, i);
-      if (use_flip_matrix) {
-        for (std::size_t m = 0; m < atoms; ++m) {
-          loaded[m] = mts::OppositeCode(schedule[i][m]);
-        }
-        realize(base_flip, i);
-      }
-    }
-    obs::Count("fault.chain_bitflips", bit_flips);
-    obs::Count("fault.stuck_overrides", stuck_overrides);
-    obs::Count("fault.injected", bit_flips + stuck_overrides);
-  }
-
-  // Cascade: fold the composed upper-layer factor into the front-panel
-  // responses. Doing it here — before the amplitude scaling, the probes
-  // and the equalizer — keeps the mid-symbol flip (-B * U == -(B * U)),
-  // the EVM reference and the soft-margin denominator consistent for
-  // free. Depth-1 links skip this entirely, bit for bit.
-  if (!upper.empty()) {
-    const ComplexMatrix factors = UpperFactors(upper, num_symbols);
-    for (std::size_t o = 0; o < num_obs; ++o) {
-      for (std::size_t i = 0; i < num_symbols; ++i) {
-        base(o, i) *= factors(o, i);
-        if (use_flip_matrix) base_flip(o, i) *= factors(o, i);
-      }
+      realize(base_flip, i);
     }
   }
+  obs::Count("fault.chain_bitflips", bit_flips);
+  obs::Count("fault.stuck_overrides", stuck_overrides);
+  obs::Count("fault.injected", bit_flips + stuck_overrides);
+  ApplyUpperFactors(upper, base, use_flip_matrix ? &base_flip : nullptr);
+  return Receive(data, base, use_flip_matrix ? &base_flip : nullptr,
+                 mts_clock_offset_us, rng);
+}
 
+ComplexMatrix OtaLink::Receive(std::span<const Complex> data,
+                               const ComplexMatrix& base,
+                               const ComplexMatrix* base_flip,
+                               double mts_clock_offset_us, Rng& rng) const {
+  const std::size_t num_symbols = data.size();
+  const std::size_t num_obs = observations_.size();
   const std::size_t slots_per_symbol = config_.multipath_cancellation ? 2 : 1;
   const std::size_t num_slots = slots_per_symbol * num_symbols;
 
@@ -408,9 +479,7 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
     const Complex tap = interferer.NextSymbolTap(rng);
     mts_gain[i] = interferer.MtsPathGain();
     for (std::size_t o = 0; o < num_obs; ++o) {
-      env(o, i) = observations_[o].environment.Response(
-                      config_.observations[o].freq_offset_hz) +
-                  tap;
+      env.row(o)[i] = observations_[o].env_response + tap;
     }
   }
 
@@ -442,12 +511,34 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
     Complex sum{0.0, 0.0};
     std::size_t count = 0;
   };
+  // Sub-samples grouped by (slot symbol, flipped, pulse sign). A
+  // data-symbol window spans at most three half-symbol slots, so at most
+  // three (slot symbol, flipped) pairs, each under both pulse signs.
+  struct Group {
+    std::size_t symbol;
+    int flipped;
+    int pulse_positive;
+    GroupStats stats;
+  };
+  constexpr std::size_t kMaxGroups = 6;
 
   ComplexMatrix z(num_obs, num_symbols);
   std::vector<std::size_t> slot_symbol_of(oversample);
   std::vector<char> flipped_of(oversample);
   std::vector<double> pulse_of(oversample);
   std::vector<Complex> received(num_obs * oversample);
+  // Row pointers: the loop below indexes every (observation, symbol)
+  // response several times per symbol.
+  std::vector<const Complex*> base_rows(num_obs);
+  std::vector<const Complex*> flip_rows(num_obs, nullptr);
+  std::vector<const Complex*> env_rows(num_obs);
+  std::vector<Complex*> z_rows(num_obs);
+  for (std::size_t o = 0; o < num_obs; ++o) {
+    base_rows[o] = base.row(o);
+    if (base_flip != nullptr) flip_rows[o] = base_flip->row(o);
+    env_rows[o] = env.row(o);
+    z_rows[o] = z.row(o);
+  }
 
   for (std::size_t i = 0; i < num_symbols; ++i) {
     for (std::size_t j = 0; j < oversample; ++j) {
@@ -480,14 +571,14 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
 
       for (std::size_t o = 0; o < num_obs; ++o) {
         Complex mts_response;
-        if (flipped && use_flip_matrix) {
-          mts_response = base_flip(o, slot_symbol);
+        if (flipped && base_flip != nullptr) {
+          mts_response = flip_rows[o][slot_symbol];
         } else {
-          mts_response = base(o, slot_symbol);
+          mts_response = base_rows[o][slot_symbol];
           if (flipped) mts_response = -mts_response;
         }
         mts_response *= observations_[o].mts_amplitude * mts_gain[i];
-        const Complex channel = mts_response + env(o, i);
+        const Complex channel = mts_response + env_rows[o][i];
         received[o * oversample + j] =
             tx_amplitude_ * channel * data[i] * pulse +
             rng.ComplexNormal(subsample_noise_var);
@@ -500,39 +591,35 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
         for (std::size_t j = 0; j < oversample; ++j) {
           acc += received[o * oversample + j];
         }
-        z(o, i) = acc / static_cast<double>(oversample);
+        z_rows[o][i] = acc / static_cast<double>(oversample);
       }
       continue;
     }
 
     for (std::size_t o = 0; o < num_obs; ++o) {
-      // Group sub-samples by (slot symbol, flipped, pulse sign). At most
-      // two distinct slot symbols appear inside one data-symbol window.
-      struct Group {
-        std::size_t symbol;
-        int flipped;
-        int pulse_positive;
-        GroupStats stats;
-      };
-      std::vector<Group> groups;
+      std::array<Group, kMaxGroups> groups;
+      std::size_t num_groups = 0;
       for (std::size_t j = 0; j < oversample; ++j) {
         const int f = flipped_of[j];
         const int p = pulse_of[j] > 0.0 ? 1 : 0;
         Group* group = nullptr;
-        for (Group& g : groups) {
-          if (g.symbol == slot_symbol_of[j] && g.flipped == f &&
-              g.pulse_positive == p) {
-            group = &g;
+        for (std::size_t g = 0; g < num_groups; ++g) {
+          if (groups[g].symbol == slot_symbol_of[j] &&
+              groups[g].flipped == f && groups[g].pulse_positive == p) {
+            group = &groups[g];
             break;
           }
         }
         if (group == nullptr) {
-          groups.push_back({slot_symbol_of[j], f, p, {}});
-          group = &groups.back();
+          Check(num_groups < kMaxGroups,
+                "receive window spans more than three MTS slots");
+          group = &groups[num_groups++];
+          *group = {slot_symbol_of[j], f, p, {}};
         }
         group->stats.sum += received[o * oversample + j];
         ++group->stats.count;
       }
+      const std::span<const Group> found(groups.data(), num_groups);
       auto mean = [](const GroupStats& g) {
         return g.sum / static_cast<double>(g.count);
       };
@@ -543,9 +630,9 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
       Complex acc{0.0, 0.0};
       double weight = 0.0;
       auto combine_pairs = [&](bool same_symbol_only) {
-        for (const Group& a : groups) {
+        for (const Group& a : found) {
           if (a.pulse_positive != 1) continue;
-          for (const Group& b : groups) {
+          for (const Group& b : found) {
             if (b.pulse_positive != 0) continue;
             if (a.flipped == b.flipped) continue;
             if (same_symbol_only != (a.symbol == b.symbol)) continue;
@@ -560,7 +647,7 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
       combine_pairs(/*same_symbol_only=*/true);
       if (weight == 0.0) combine_pairs(/*same_symbol_only=*/false);
       if (weight > 0.0) {
-        z(o, i) = acc / weight;
+        z_rows[o][i] = acc / weight;
       } else {
         // No environment-cancelling pair at all (degenerate): fall back
         // to pulse-matched averaging; the environment leaks.
@@ -568,7 +655,7 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
         for (std::size_t j = 0; j < oversample; ++j) {
           fallback += received[o * oversample + j] * pulse_of[j];
         }
-        z(o, i) = fallback / static_cast<double>(oversample);
+        z_rows[o][i] = fallback / static_cast<double>(oversample);
       }
     }
   }

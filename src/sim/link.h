@@ -24,7 +24,9 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -131,6 +133,28 @@ class OtaLink {
   /// Number of surfaces in the propagation path (1 for legacy links).
   std::size_t num_layers() const;
 
+  /// Prepares a response plan for `schedule` (with `upper`, the cascade's
+  /// upper-layer schedules; empty on depth-1 links): the composed
+  /// noise-free per-symbol responses B(o, i) * U(o, i), computed once with
+  /// exactly the arithmetic TransmitSequence would use. Later
+  /// TransmitSequence calls passing these same objects (found by address)
+  /// skip straight to the receive loop, bit for bit and draw for draw
+  /// identical to an unprepared call.
+  ///
+  /// Lifetime contract (the one the surface/graph references carry): the
+  /// caller keeps `schedule` and `upper` alive and unchanged while this
+  /// link may be asked to transmit them; preparing the same objects again
+  /// replaces the plan. A copy of the link starts with no plans, so it
+  /// never answers from plans keyed by another owner's schedules.
+  ///
+  /// Links whose fault injector affects patterns
+  /// (fault::FaultInjector::AffectsPatterns) corrupt every pattern load
+  /// with fresh RNG draws, so their responses are not static: Prepare is
+  /// a no-op there and every transmission takes the unprepared path.
+  /// Concurrent Prepare calls are safe with each other, but not with
+  /// concurrent TransmitSequence calls.
+  void Prepare(const MtsSchedule& schedule, const LayerSchedules& upper);
+
   /// Plays `schedule` against `data` and returns the integrated per-symbol
   /// measurements z(o, i) for every observation o. `mts_clock_offset_us`
   /// slides the MTS schedule relative to the data clock (positive = MTS
@@ -144,7 +168,9 @@ class OtaLink {
   /// holds during data symbol i (upper layers switch per symbol like the
   /// front panel but never flip at mid-symbol). `upper` must hold
   /// num_layers() - 1 schedules; pass an empty LayerSchedules on a
-  /// depth-1 link for the legacy behavior.
+  /// depth-1 link for the legacy behavior. A prepared (schedule, upper)
+  /// pair answers from its plan (see Prepare); the upper object is part
+  /// of the key on cascade links only.
   ComplexMatrix TransmitSequence(std::span<const Complex> data,
                                  const MtsSchedule& schedule,
                                  const LayerSchedules& upper,
@@ -177,7 +203,8 @@ class OtaLink {
   double MtsPathAmplitude(std::size_t o) const;
 
   /// Environment-path (Tx->Rx, bypassing the MTS) response for
-  /// observation `o` at its frequency offset.
+  /// observation `o` at its frequency offset (static: computed once at
+  /// construction).
   Complex EnvironmentResponse(std::size_t o) const;
 
   /// Per-symbol SNR of the MTS path assuming the schedule realizes a
@@ -203,8 +230,10 @@ class OtaLink {
     std::vector<double> tx_steer_re;
     std::vector<double> tx_steer_im;
     double mts_amplitude = 0.0;
-    rf::MultipathChannel environment;
-    double env_gain = 1.0;  // antenna + wall factors on the env path
+    /// Static multipath response at the observation's frequency offset,
+    /// excluding the Tx amplitude; the per-symbol interferer tap adds to
+    /// it.
+    Complex env_response{0.0, 0.0};
   };
 
   /// One upper cascade layer as seen from one observation: its steering
@@ -217,11 +246,64 @@ class OtaLink {
     double coupling = 1.0;
   };
 
+  /// The composed responses of one prepared schedule, keyed by the
+  /// addresses of the schedule objects it was prepared from (see
+  /// UpperKey).
+  struct ResponsePlan {
+    const MtsSchedule* schedule = nullptr;
+    const LayerSchedules* upper = nullptr;
+    ComplexMatrix response;
+  };
+
+  /// Prepared plans. Copies start empty (see Prepare); moves keep them,
+  /// since a move leaves the keyed schedules where they were.
+  class PlanTable {
+   public:
+    PlanTable() = default;
+    PlanTable(const PlanTable&) {}
+    PlanTable(PlanTable&& other) noexcept : plans_(std::move(other.plans_)) {}
+    PlanTable& operator=(const PlanTable&) = delete;
+    PlanTable& operator=(PlanTable&&) = delete;
+
+    /// Adds `plan`, replacing any plan with the same key.
+    void Insert(ResponsePlan plan);
+    /// The plan keyed (schedule, upper), or null.
+    const ComplexMatrix* Find(const MtsSchedule* schedule,
+                              const LayerSchedules* upper) const;
+
+   private:
+    std::mutex mutex_;  // guards Insert against concurrent Insert
+    std::vector<ResponsePlan> plans_;
+  };
+
   void BuildUpperStates();
+  /// Plan key of the upper schedules: their address on cascade links,
+  /// null on depth-1 links, whose (necessarily empty) upper schedules are
+  /// any caller's empty object.
+  const LayerSchedules* UpperKey(const LayerSchedules& upper) const;
+  /// Checks the schedule shapes against the link for `num_symbols` data
+  /// symbols.
+  void CheckSchedules(const MtsSchedule& schedule, const LayerSchedules& upper,
+                      std::size_t num_symbols) const;
+  /// Healthy-hardware base responses B(o, i) = sum_m steering * phasor of
+  /// the front panel under `schedule`.
+  ComplexMatrix BaseResponses(const MtsSchedule& schedule) const;
   /// Composed upper factor U(o, i) for every observation/symbol; only
   /// called when upper layers exist.
   ComplexMatrix UpperFactors(const LayerSchedules& upper,
                              std::size_t num_symbols) const;
+  /// Folds U(o, i) into `base` (and `base_flip`, when non-null).
+  void ApplyUpperFactors(const LayerSchedules& upper, ComplexMatrix& base,
+                         ComplexMatrix* base_flip) const;
+  /// The receive loop shared by prepared and unprepared transmissions:
+  /// interferer, oversampled reception with AWGN, receive combining and
+  /// the transmission probes. `base` holds the composed MTS responses;
+  /// `base_flip`, when non-null, the separately realized mid-symbol
+  /// flipped responses (pattern faults only; otherwise the flip is -base).
+  ComplexMatrix Receive(std::span<const Complex> data,
+                        const ComplexMatrix& base,
+                        const ComplexMatrix* base_flip,
+                        double mts_clock_offset_us, Rng& rng) const;
 
   const mts::Metasurface& surface_;
   /// Non-null for cascade links; the graph outlives the link.
@@ -233,6 +315,7 @@ class OtaLink {
   std::vector<std::vector<UpperLayerState>> upper_;
   double tx_amplitude_ = 0.0;  // sqrt of Tx power (linear)
   double noise_power_ = 0.0;   // linear noise floor
+  PlanTable plans_;
 };
 
 /// Distance between the Tx and Rx endpoints implied by a reflection

@@ -128,6 +128,29 @@ TEST(ParallelForTest, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(run(8), serial);
 }
 
+TEST(ParallelForTest, ManyTinyFanOutsCompleteSafely) {
+  // Regression for a completion race: the last worker used to decrement
+  // the job's remaining count before locking its done mutex, so the
+  // caller could see zero, return and destroy the stack-allocated job
+  // while the worker still locked and notified it. Serving runs one
+  // fan-out per frame, so the window is reached by volume: hammer it
+  // with tiny fan-outs at several widths (TSan/ASan flag the
+  // use-after-free directly; a plain build may crash).
+  constexpr int kFanOutsPerWidth = 1 << 18;  // ~10^6 fan-outs in total
+  for (const int threads : {2, 4, 8}) {
+    const ScopedThreadCount scoped(threads);
+    std::size_t visited = 0;
+    std::atomic<std::size_t> touched{0};
+    for (int k = 0; k < kFanOutsPerWidth; ++k) {
+      ParallelFor(static_cast<std::size_t>(threads), [&](std::size_t) {
+        touched.fetch_add(1, std::memory_order_relaxed);
+      });
+      visited += static_cast<std::size_t>(threads);
+    }
+    EXPECT_EQ(touched.load(), visited) << threads << " threads";
+  }
+}
+
 TEST(ForkRngsTest, StreamsAreIndependentOfTaskCountPrefix) {
   // Fork streams are derived on the calling thread in index order: the
   // first k streams of ForkRngs(base, n) match ForkRngs(base', k) for an

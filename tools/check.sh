@@ -7,8 +7,10 @@
 #   3. TSan build (-DMETAAI_SANITIZE=thread) exercising the thread-pool,
 #      parallel-determinism, fault-injection/recovery, serving-runtime
 #      and cascade-pipeline suites under real data race detection (the
-#      cascade mapper fans per-symbol solves across the pool), plus the
-#      metaai_obs_report golden-file test against the TSan-built tool.
+#      cascade mapper fans per-symbol solves across the pool), the
+#      prepared-link suites (deployments prepare their rounds on the
+#      pool), plus the metaai_obs_report golden-file test against the
+#      TSan-built tool.
 #   4. UBSan-only build (-DMETAAI_SANITIZE=undefined, trap-on-error)
 #      running the obs + serve suites plus the layer-graph/cascade-solver
 #      suites: the health estimators, alert engine and the cascade's
@@ -47,9 +49,9 @@ cmake -B "${prefix}-tsan" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=Debug -DMETAAI_SANITIZE=thread -DMETAAI_OBS=ON
 cmake --build "${prefix}-tsan" -j"$(nproc)" \
   --target test_common test_obs test_fault test_integration test_serve \
-  test_core test_fleet metaai_obs_report
+  test_core test_fleet test_sim metaai_obs_report
 ctest --test-dir "${prefix}-tsan" --output-on-failure \
-  -R 'Parallel|Tracer|Telemetry|Fault|Serve|ObsReport|obs_report|Cascade|Fleet|Workload|Placement'
+  -R 'Parallel|Tracer|Telemetry|Fault|Serve|ObsReport|obs_report|Cascade|Fleet|Workload|Placement|Prepared'
 
 echo "=== [4/6] UBSan on obs + serve suites"
 cmake -B "${prefix}-ubsan" -S "${repo_root}" \
