@@ -18,6 +18,13 @@ struct FactoryCase {
   std::size_t expected_classes;
 };
 
+// Without this gtest prints the raw bytes of the case, which include the
+// ASLR-dependent label and factory pointers, so the discovered ctest names
+// would change with every build.
+void PrintTo(const FactoryCase& param, std::ostream* os) {
+  *os << '"' << param.label << '"';
+}
+
 class MultiSensorFactory : public ::testing::TestWithParam<FactoryCase> {};
 
 TEST_P(MultiSensorFactory, ProducesValidatedDataset) {
