@@ -8,11 +8,10 @@
 // from the paper's +20 dBm operating point) and reports the end-to-end
 // over-the-air accuracy per depth.
 //
-// Two hard gates:
-//  * the K=1 graph deployment must score EXACTLY the legacy
-//    single-surface deployment (the bitwise-compatibility contract);
-//  * K=3 must beat-or-match K=1 on this profile (the added focus gain
-//    lifts the per-symbol SNR out of the noise floor).
+// Hard gate: K=3 must beat-or-match K=1 on this profile (the added focus
+// gain lifts the per-symbol SNR out of the noise floor). The K=1 row is
+// the single panel itself; its pinned depth1_accuracy headline carries
+// the depth-1 contract.
 #include "bench_util.h"
 
 #include "common/table.h"
@@ -44,15 +43,6 @@ int Run() {
   Rng rng(91);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
 
-  // Bitwise gate: the K=1 graph deployment reproduces the legacy
-  // single-surface path exactly, so both must score identical accuracy
-  // on identical RNG streams.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment legacy(model, surface, NoiseLimitedLinkConfig());
-  Rng legacy_rng(911);
-  const double legacy_accuracy =
-      legacy.EvaluateAccuracyAtOffset(ds.test, 0.0, legacy_rng, 120);
-
   Table table("Ablation: cascade depth (noise-limited link, -6 dBm Tx)",
               {"Depth", "Gain product", "Mean relative residual",
                "OTA accuracy"});
@@ -60,7 +50,7 @@ int Run() {
   for (const std::size_t depth : {1u, 2u, 3u}) {
     const mts::LayerGraph graph = MakeGraph(depth);
     const core::Deployment deployment(model, graph, NoiseLimitedLinkConfig());
-    Rng eval_rng(911);  // same stream for every depth (and the gate)
+    Rng eval_rng(911);  // same stream for every depth
     const double acc =
         deployment.EvaluateAccuracyAtOffset(ds.test, 0.0, eval_rng, 120);
     accuracy.push_back(acc);
@@ -73,15 +63,7 @@ int Run() {
     report.Headline("depth" + std::to_string(depth) + "_accuracy", acc);
   }
   table.Print(std::cout);
-  report.Headline("legacy_accuracy", legacy_accuracy);
 
-  if (accuracy[0] != legacy_accuracy) {
-    std::fprintf(stderr,
-                 "FAILED: depth-1 graph accuracy %.6f != legacy surface "
-                 "accuracy %.6f (bitwise contract broken)\n",
-                 accuracy[0], legacy_accuracy);
-    return 1;
-  }
   if (accuracy[2] < accuracy[0]) {
     std::fprintf(stderr,
                  "FAILED: depth-3 accuracy %.6f fell below depth-1 %.6f on "

@@ -124,11 +124,11 @@ int Run(BenchReport& report) {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(91);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   const sim::OtaLinkConfig healthy_config = DefaultLinkConfig();
 
   // Fault-free reference accuracy at zero clock offset.
-  const core::Deployment healthy(model, surface, healthy_config);
+  const core::Deployment healthy(model, graph, healthy_config);
   Rng ref_rng(911);
   const double reference =
       healthy.EvaluateAccuracyAtOffset(ds.test, 0.0, ref_rng, kEvalSamples);
@@ -146,11 +146,11 @@ int Run(BenchReport& report) {
                                              : std::to_string(stuck_pct)) +
                              ",drift=0.04,age=60,seed=33";
     auto injector = std::make_shared<const fault::FaultInjector>(
-        fault::TryParseFaultSpec(spec).value(), surface.num_atoms());
+        fault::TryParseFaultSpec(spec).value(), graph.front().num_atoms());
     sim::OtaLinkConfig faulty_config = healthy_config;
     faulty_config.faults = injector;
 
-    const core::Deployment degraded(model, surface, faulty_config);
+    const core::Deployment degraded(model, graph, faulty_config);
     Rng deg_rng(911);
     const double degraded_acc = degraded.EvaluateAccuracyAtOffset(
         ds.test, 0.0, deg_rng, kEvalSamples);
@@ -159,7 +159,7 @@ int Run(BenchReport& report) {
     const core::FaultDiagnosis diagnosis = core::DiagnoseDeployment(
         degraded, diag_rng, {.probe_symbols = kProbeSymbols});
     const core::Deployment recovered = core::RecoverFromFaults(
-        model, surface, faulty_config, {}, diagnosis);
+        model, graph, faulty_config, {}, diagnosis);
     Rng rec_rng(911);
     const double recovered_acc = recovered.EvaluateAccuracyAtOffset(
         ds.test, 0.0, rec_rng, kEvalSamples);
@@ -188,10 +188,10 @@ int Run(BenchReport& report) {
   // critical) alert.
   const std::string spec = "stuck=0.10,drift=0.04,age=60,seed=33";
   auto injector = std::make_shared<const fault::FaultInjector>(
-      fault::TryParseFaultSpec(spec).value(), surface.num_atoms());
+      fault::TryParseFaultSpec(spec).value(), graph.front().num_atoms());
   sim::OtaLinkConfig faulty_config = healthy_config;
   faulty_config.faults = injector;
-  const core::Deployment degraded(model, surface, faulty_config);
+  const core::Deployment degraded(model, graph, faulty_config);
 
   obs::health::AlertEngine engine = MakeFaultStreamEngine();
   std::vector<obs::health::Alert> alerts;
@@ -271,7 +271,7 @@ int Run(BenchReport& report) {
   // re-solve pipeline.
   Rng watchdog_rng(919);
   const core::FaultWatchdogResult watchdog = core::RunFaultWatchdogOnAlert(
-      model, surface, faulty_config, {}, degraded, ds.test, reference, *trip,
+      model, graph, faulty_config, {}, degraded, ds.test, reference, *trip,
       watchdog_rng,
       {.diagnosis = {.probe_symbols = kProbeSymbols},
        .check_samples = kEvalSamples});

@@ -40,11 +40,11 @@ void Run() {
     hybrid.Train(ds.train, options, hybrid_rng);
     const double hybrid_sim = hybrid.Evaluate(ds.test);
 
-    const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+    const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
     Rng ota_rng(63);
     const sim::SyncModel sync = DeploymentSyncModel();
     const double hybrid_ota = core::EvaluateHybridOverTheAir(
-        hybrid, surface, DefaultLinkConfig(), ds.test, sync, ota_rng, 120);
+        hybrid, graph, DefaultLinkConfig(), ds.test, sync, ota_rng, 120);
 
     Rng cnn_rng(64);
     nn::ConvNet cnn({.height = ds.height,

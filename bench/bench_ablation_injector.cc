@@ -32,7 +32,7 @@ core::TrainedModel TrainWithInjector(
 
 void Run() {
   const data::Dataset ds = data::MakeMnistLike();
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   const sim::SyncModel coarse(sim::SyncMode::kCoarse);  // full Gamma errors
 
   struct Injector {
@@ -63,7 +63,7 @@ void Run() {
               {"Injector", "Accuracy", "Accuracy at 0 us"});
   for (const Injector& injector : injectors) {
     const auto model = TrainWithInjector(ds, injector.augment);
-    core::Deployment deployment(model, surface, DefaultLinkConfig());
+    core::Deployment deployment(model, graph, DefaultLinkConfig());
     Rng eval_rng(831);
     const double coarse_acc =
         deployment.EvaluateAccuracy(ds.test, coarse, eval_rng, 200);

@@ -21,11 +21,11 @@ void Run(BenchReport& report) {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(84);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   // Calibrated at the default 40-degree bearing.
   const sim::OtaLinkConfig calibrated = DefaultLinkConfig(8400);
-  const core::Deployment stale(model, surface, calibrated);
+  const core::Deployment stale(model, graph, calibrated);
 
   Table table("Ablation: receiver mobility (accuracy %)",
               {"True Rx bearing (deg)", "Stale mapping",
@@ -41,7 +41,8 @@ void Run(BenchReport& report) {
     // Deploy on the true link but with the 40-deg steering assumption:
     // reuse the stale deployment's schedules through a link at the true
     // geometry.
-    sim::OtaLink true_ota(surface, true_link);
+    sim::OtaLink true_ota(graph, true_link);
+    const sim::LayerSchedules no_upper;
     Rng eval_rng(841);
     std::size_t correct = 0;
     constexpr std::size_t kSamples = 100;
@@ -53,7 +54,7 @@ void Run(BenchReport& report) {
       const double offset = sync.SampleOffsetUs(eval_rng);
       for (std::size_t r = 0; r < stale.schedules().rounds.size(); ++r) {
         const auto z = true_ota.TransmitSequence(
-            symbols, stale.schedules().rounds[r], offset, eval_rng);
+            symbols, stale.schedules().rounds[r], no_upper, offset, eval_rng);
         sim::Complex acc{0.0, 0.0};
         for (std::size_t s = 0; s < z.cols(); ++s) acc += z(0, s);
         scores[static_cast<std::size_t>(
@@ -68,7 +69,7 @@ void Run(BenchReport& report) {
 
     // Recalibrated: beam scan for the new bearing, re-solve, evaluate.
     auto result =
-        core::RecalibrateForReceiver(model, surface, calibrated, true_link);
+        core::RecalibrateForReceiver(model, graph, calibrated, true_link);
     last_report = result.report;
     Rng recal_rng(842);
     const double recal_acc = result.deployment.EvaluateAccuracy(

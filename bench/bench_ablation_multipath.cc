@@ -20,13 +20,13 @@ namespace {
 double Evaluate(const core::TrainedModel& model, bool cancellation,
                 bool subtract_env, sim::InterfererRegion interferer,
                 const nn::RealDataset& test) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig config = DefaultLinkConfig(8100);
   config.multipath_cancellation = cancellation;
   config.environment.interferer = interferer;
   core::DeploymentOptions options;
   options.mapping.subtract_environment = subtract_env;
-  core::Deployment deployment(model, surface, config, options);
+  core::Deployment deployment(model, graph, config, options);
   Rng rng(81);
   return deployment.EvaluateAccuracyAtOffset(test, 0.0, rng, 150);
 }

@@ -21,8 +21,8 @@ namespace {
 /// sweep counts are deterministic for a fixed dispatch level, so the
 /// baseline gates them exactly; the bench itself hard-gates warm < cold.
 int RunWarmStartArm(BenchReport& report) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, DefaultLinkConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLinkConfig());
   Rng rng(83);
   ComplexMatrix weights(10, 64);
   for (std::size_t r = 0; r < weights.rows(); ++r) {
@@ -76,14 +76,14 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(82);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table sweeps("Ablation: solver sweep budget",
                {"Max sweeps", "Mean relative residual", "OTA accuracy"});
   for (const int max_sweeps : {1, 2, 4, 8}) {
     core::DeploymentOptions options;
     options.mapping.solver.max_sweeps = max_sweeps;
-    core::Deployment deployment(model, surface, DefaultLinkConfig(),
+    core::Deployment deployment(model, graph, DefaultLinkConfig(),
                                 options);
     Rng eval_rng(821);
     const double acc =
@@ -100,7 +100,7 @@ void Run() {
   for (const double fraction : {0.3, 0.6, 0.85, 1.0}) {
     core::DeploymentOptions options;
     options.mapping.target_fraction = fraction;
-    core::Deployment deployment(model, surface, DefaultLinkConfig(),
+    core::Deployment deployment(model, graph, DefaultLinkConfig(),
                                 options);
     Rng eval_rng(822);
     const double acc =

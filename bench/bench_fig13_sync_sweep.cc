@@ -21,9 +21,9 @@ void Run() {
   cdfa_options.sync_error_injection = true;  // full-scale Gamma(2, 1.85)
   const auto cdfa = core::TrainModel(ds.train, cdfa_options, rng_cdfa);
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment dep_plain(plain, surface, DefaultLinkConfig());
-  const core::Deployment dep_cdfa(cdfa, surface, DefaultLinkConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment dep_plain(plain, graph, DefaultLinkConfig());
+  const core::Deployment dep_cdfa(cdfa, graph, DefaultLinkConfig());
 
   Table table("Fig 13b: Accuracy (%) vs sync delay error",
               {"Error (us)", "w/o CDFA", "with CDFA"});

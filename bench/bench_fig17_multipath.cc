@@ -21,7 +21,7 @@ double MeanAccuracyOverLocations(const core::TrainedModel& model,
                                  const rf::MultipathProfile& profile,
                                  rf::AntennaType antenna,
                                  bool cancellation) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   std::vector<double> accuracies;
   const data::Dataset ds = data::MakeMnistLike(
       {.train_per_class = 1, .test_per_class = 50});  // test split only
@@ -33,7 +33,7 @@ double MeanAccuracyOverLocations(const core::TrainedModel& model,
     config.tx_antenna = antenna;
     config.rx_antenna = antenna;
     config.multipath_cancellation = cancellation;
-    return PrototypeAccuracy(model, surface, config, ds.test, trial_rng, 60);
+    return PrototypeAccuracy(model, graph, config, ds.test, trial_rng, 60);
   });
   return Mean(accuracies);
 }

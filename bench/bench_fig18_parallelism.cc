@@ -20,7 +20,7 @@ void Run() {
     Rng rng(18);
     const auto model =
         core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-    const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+    const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
     std::vector<std::string> row{ds.name};
     for (const auto mode :
@@ -32,7 +32,7 @@ void Run() {
       // Half the class count per round: a 2x latency cut at slight
       // accuracy cost (Appendix A.3 sweeps the full width range).
       options.parallel_width = (ds.num_classes + 1) / 2;
-      core::Deployment deployment(model, surface, DefaultLinkConfig(),
+      core::Deployment deployment(model, graph, DefaultLinkConfig(),
                                   options);
       Rng eval_rng(181);
       const sim::SyncModel sync = DeploymentSyncModel();

@@ -23,7 +23,7 @@ struct SweepResult {
 SweepResult Sweep(const core::TrainedModel& model) {
   const data::Dataset ds =
       data::MakeMnistLike({.train_per_class = 1, .test_per_class = 50});
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   SweepResult result;
   Rng rng(19);
   for (int power_dbm = 5; power_dbm <= 30; power_dbm += 5) {
@@ -33,7 +33,7 @@ SweepResult Sweep(const core::TrainedModel& model) {
           config.budget.tx_power_dbm = power_dbm;
           config.budget.noise_floor_dbm = -46.0;  // noise-limited regime
           config.mts_phase_noise_std = 0.12;
-          return PrototypeAccuracy(model, surface, config, ds.test, trial_rng,
+          return PrototypeAccuracy(model, graph, config, ds.test, trial_rng,
                                    40);
         });
     result.mean_per_power.push_back(Mean(at_power));

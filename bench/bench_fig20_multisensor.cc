@@ -29,8 +29,8 @@ void RunDataset(const data::MultiSensorDataset& ds, Table& table) {
     const auto model = core::TrainFusedModel(ds, n, robust, rng);
     const double digital = core::EvaluateFusedDigital(model, ds, n);
 
-    const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-    core::Deployment deployment(model, surface, DefaultLinkConfig());
+    const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+    core::Deployment deployment(model, graph, DefaultLinkConfig());
     sim::SyncModelConfig sync_config;
     sync_config.latency_scale = sim::PaperEquivalentLatencyScale(256);
     const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);

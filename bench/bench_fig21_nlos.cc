@@ -16,7 +16,7 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(21);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 21: Accuracy (%) in the NLoS corner vs Rx-MTS distance",
               {"Rx-MTS distance (m)", "Accuracy"});
@@ -27,7 +27,7 @@ void Run() {
     config.environment.profile = rf::CorridorProfile();
     config.environment.direct_tx_rx = false;  // corner: Tx-Rx blocked
     config.geometry.rx_distance_m = distance;
-    const double acc = PrototypeAccuracy(model, surface, config, ds.test,
+    const double acc = PrototypeAccuracy(model, graph, config, ds.test,
                                          eval_rng, 100);
     table.AddRow({FormatDouble(distance, 0), FormatPercent(acc)});
   }

@@ -31,7 +31,7 @@ void Run() {
   Table table("Fig 22: Accuracy (%) per frequency band, 10 Rx locations",
               {"Band", "Mean", "Min", "Max"});
   for (const Band& band : bands) {
-    const mts::Metasurface surface{band.spec};
+    const mts::LayerGraph graph(mts::Metasurface{band.spec});
     std::vector<double> accuracies;
     Rng eval_rng(221);
     for (std::uint64_t location = 1; location <= 10; ++location) {
@@ -41,7 +41,7 @@ void Run() {
       Rng place(2200 + location);
       config.geometry.rx_distance_m = place.Uniform(2.0, 5.0);
       config.geometry.rx_angle_rad = rf::DegToRad(place.Uniform(10.0, 55.0));
-      accuracies.push_back(PrototypeAccuracy(model, surface, config, ds.test,
+      accuracies.push_back(PrototypeAccuracy(model, graph, config, ds.test,
                                              eval_rng, 60));
     }
     table.AddRow({band.label, FormatPercent(Mean(accuracies)),

@@ -13,7 +13,7 @@ namespace {
 
 void Run() {
   const data::Dataset ds = data::MakeMnistLike();
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 23: Accuracy (%) per modulation scheme",
               {"Modulation", "Bits/symbol", "Simulation", "Over the air"});
@@ -23,7 +23,7 @@ void Run() {
         core::TrainModel(ds.train, RobustTrainingOptions(scheme), rng);
     const double sim_acc = core::EvaluateDigital(model, ds.test);
     Rng eval_rng(231);
-    const double ota = PrototypeAccuracy(model, surface, DefaultLinkConfig(),
+    const double ota = PrototypeAccuracy(model, graph, DefaultLinkConfig(),
                                          ds.test, eval_rng, 120);
     table.AddRow({rf::ModulationName(scheme),
                   std::to_string(rf::BitsPerSymbol(scheme)),

@@ -13,7 +13,7 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(24);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 24: Accuracy (%) vs Tx-MTS distance",
               {"Tx-MTS distance (m)", "Accuracy"});
@@ -22,7 +22,7 @@ void Run() {
     sim::OtaLinkConfig config =
         DefaultLinkConfig(2400 + static_cast<std::uint64_t>(distance));
     config.geometry.tx_distance_m = distance;
-    const double acc = PrototypeAccuracy(model, surface, config, ds.test,
+    const double acc = PrototypeAccuracy(model, graph, config, ds.test,
                                          eval_rng, 100);
     table.AddRow({FormatDouble(distance, 0), FormatPercent(acc)});
   }

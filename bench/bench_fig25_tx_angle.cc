@@ -14,7 +14,7 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(25);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 25: Accuracy (%) vs Tx-MTS incidence angle",
               {"Angle (deg)", "Accuracy"});
@@ -23,7 +23,7 @@ void Run() {
     sim::OtaLinkConfig config =
         DefaultLinkConfig(2500 + static_cast<std::uint64_t>(angle_deg));
     config.geometry.tx_angle_rad = rf::DegToRad(angle_deg);
-    const double acc = PrototypeAccuracy(model, surface, config, ds.test,
+    const double acc = PrototypeAccuracy(model, graph, config, ds.test,
                                          eval_rng, 100);
     table.AddRow({FormatDouble(angle_deg, 0), FormatPercent(acc)});
   }

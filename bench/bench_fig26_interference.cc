@@ -18,7 +18,7 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(26);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 26: Accuracy (%) under a walking interferer",
               {"Region", "Accuracy"});
@@ -29,7 +29,7 @@ void Run() {
         sim::InterfererRegion::kR4}) {
     sim::OtaLinkConfig config = DefaultLinkConfig(2600);
     config.environment.interferer = region;
-    const double acc = PrototypeAccuracy(model, surface, config, ds.test,
+    const double acc = PrototypeAccuracy(model, graph, config, ds.test,
                                          eval_rng, 200);
     table.AddRow({sim::InterfererRegionName(region), FormatPercent(acc)});
   }

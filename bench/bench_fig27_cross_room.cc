@@ -15,7 +15,7 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(27);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 27: Accuracy (%) across three rooms (P1-P18)",
               {"Position", "Room", "Distance (m)", "Walls", "Accuracy"});
@@ -33,7 +33,7 @@ void Run() {
         rf::DegToRad(place.Uniform(15.0, 50.0));
     config.environment.wall_attenuation_db = walls_db;
     config.environment.direct_tx_rx = room == 0;
-    const double acc = PrototypeAccuracy(model, surface, config, ds.test,
+    const double acc = PrototypeAccuracy(model, graph, config, ds.test,
                                          eval_rng, 80);
     room_min[static_cast<std::size_t>(room)] =
         std::min(room_min[static_cast<std::size_t>(room)], acc);

@@ -21,8 +21,8 @@ void Run() {
 
   Rng rng(28);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(model, surface, DefaultLinkConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(model, graph, DefaultLinkConfig());
   const sim::SyncModel sync = DeploymentSyncModel();
 
   // Classify every live capture and tally per-user accuracy.

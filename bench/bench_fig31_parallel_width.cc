@@ -15,7 +15,7 @@ void Run() {
   const data::Dataset ds = data::MakeMnistLike();
   Rng rng(31);
   const auto model = core::TrainModel(ds.train, RobustTrainingOptions(), rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   Table table("Fig 31: Accuracy (%) vs parallel width",
               {"Width", "Subcarrier", "Antenna", "Rounds/inference"});
@@ -33,7 +33,7 @@ void Run() {
       // driver (together with the joint-solve residual) of the Fig 31
       // degradation.
       config.budget.noise_floor_dbm = -58.0;
-      core::Deployment deployment(model, surface, config, options);
+      core::Deployment deployment(model, graph, config, options);
       rounds = deployment.RoundsPerInference();
       Rng eval_rng(311);
       const sim::SyncModel sync = DeploymentSyncModel();

@@ -32,13 +32,13 @@ void Run() {
       mts::MetasurfaceSpec spec;
       spec.rows = side;
       spec.cols = side;
-      const mts::Metasurface surface{spec};
+      const mts::LayerGraph graph(mts::Metasurface{spec});
       sim::OtaLinkConfig config = DefaultLinkConfig();
       // Noise floor set so the 256-atom panel operates with comfortable
       // but finite SNR; smaller panels (aperture ~ M^2) become noise
       // limited, which is what bends the curve at low atom counts.
       config.budget.noise_floor_dbm = -47.0;
-      core::Deployment deployment(model, surface, config);
+      core::Deployment deployment(model, graph, config);
       Rng eval_rng(71);
       const double acc = deployment.EvaluateAccuracyAtOffset(
           ds.test, /*mts_clock_offset_us=*/0.0, eval_rng, 100);

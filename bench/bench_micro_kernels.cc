@@ -64,8 +64,8 @@ void BM_CnnInference(benchmark::State& state) {
 BENCHMARK(BM_CnnInference);
 
 void BM_ConfigSolverSingleTarget(benchmark::State& state) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, DefaultLinkConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLinkConfig());
   const auto steering = link.SteeringVector(0);
   Rng rng(3);
   const sim::Complex target = rng.UnitPhasor() * 100.0;
@@ -80,16 +80,17 @@ void BM_OtaTransmitSequence(benchmark::State& state) {
   Rng rng(4);
   const auto model = core::TrainModel(
       ds.train, core::TrainingOptions{.epochs = 1}, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, DefaultLinkConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLinkConfig());
   const auto mapped = core::MapWeights(model.network.weights(), link,
                        {.scheme = core::MappingScheme::kSequential});
   const auto symbols = data::EncodeSample(ds.train.features[0],
                                           rf::Modulation::kQam256);
+  const sim::LayerSchedules no_upper;
   Rng noise_rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        link.TransmitSequence(symbols, mapped.rounds[0], 0.0, noise_rng));
+    benchmark::DoNotOptimize(link.TransmitSequence(symbols, mapped.rounds[0],
+                                                   no_upper, 0.0, noise_rng));
   }
 }
 BENCHMARK(BM_OtaTransmitSequence);
@@ -134,9 +135,9 @@ void BM_WeightMappingPerSymbol(benchmark::State& state) {
   Rng rng(6);
   const auto model = core::TrainModel(
       ds.train, core::TrainingOptions{.epochs = 1}, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   for (auto _ : state) {
-    const sim::OtaLink link(surface, DefaultLinkConfig());
+    const sim::OtaLink link(graph, DefaultLinkConfig());
     benchmark::DoNotOptimize(
         core::MapWeights(model.network.weights(), link,
                        {.scheme = core::MappingScheme::kSequential}));
@@ -150,8 +151,9 @@ BENCHMARK(BM_WeightMappingPerSymbol);
 // comparing the per-arg timings shows the metaai::par speedup (results
 // are bitwise identical across args by construction).
 void BM_MapSequentialFanout(benchmark::State& state) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};  // 16x16
-  const sim::OtaLink link(surface, DefaultLinkConfig());
+  // One 16x16 panel.
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLinkConfig());
   Rng rng(7);
   ComplexMatrix weights(10, 64);
   for (std::size_t r = 0; r < weights.rows(); ++r) {
@@ -284,8 +286,8 @@ void RegisterSimdBenches() {
 /// machine) and the baseline gates them at zero tolerance.
 void FixedIterationCounterPass() {
   constexpr int kIterations = 4;
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, DefaultLinkConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLinkConfig());
   const auto steering = link.SteeringVector(0);
   Rng rng(3);
   const sim::Complex target = rng.UnitPhasor() * 100.0;
@@ -309,9 +311,10 @@ void FixedIterationCounterPass() {
   // stream to the mapped round's length.
   const std::vector<sim::Complex> stream(
       symbols.begin(), symbols.begin() + mapped.rounds[0].size());
+  const sim::LayerSchedules no_upper;
   Rng noise_rng(5);
   for (int i = 0; i < kIterations; ++i) {
-    link.TransmitSequence(stream, mapped.rounds[0], 0.0, noise_rng);
+    link.TransmitSequence(stream, mapped.rounds[0], no_upper, 0.0, noise_rng);
   }
 }
 

@@ -49,7 +49,7 @@ Row RunDataset(const std::string& name) {
     row.cnn = cnn.Evaluate(ds.test);
   }
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   // DiscreteNN baseline: discrete-constrained training.
   {
@@ -68,7 +68,7 @@ Row RunDataset(const std::string& name) {
         rf::Modulation::kQam256};
     model.network.mutable_weights() = discrete.QuantizedWeights();
     Rng ota_rng(103);
-    row.discrete_proto = PrototypeAccuracy(model, surface,
+    row.discrete_proto = PrototypeAccuracy(model, graph,
                                            DefaultLinkConfig(7), ds.test,
                                            ota_rng);
   }
@@ -100,7 +100,7 @@ Row RunDataset(const std::string& name) {
           const auto robust =
               core::TrainModel(ds.train, RobustTrainingOptions(), robust_rng);
           Rng ota_rng(seed + 1);
-          return PrototypeAccuracy(robust, surface, DefaultLinkConfig(8),
+          return PrototypeAccuracy(robust, graph, DefaultLinkConfig(8),
                                    ds.test, ota_rng);
         });
     double proto_total = 0.0;

@@ -210,12 +210,12 @@ std::vector<double> ParallelTrials(std::size_t trials, Rng& base, Fn&& fn) {
 
 /// Prototype accuracy of a robust-trained model over a configured link.
 inline double PrototypeAccuracy(const core::TrainedModel& model,
-                                const mts::Metasurface& surface,
+                                const mts::LayerGraph& graph,
                                 const sim::OtaLinkConfig& link_config,
                                 const nn::RealDataset& test, Rng& rng,
                                 std::size_t max_samples = 200,
                                 const core::DeploymentOptions& options = {}) {
-  core::Deployment deployment(model, surface, link_config, options);
+  core::Deployment deployment(model, graph, link_config, options);
   const sim::SyncModel sync = DeploymentSyncModel();
   return deployment.EvaluateAccuracy(test, sync, rng, max_samples);
 }

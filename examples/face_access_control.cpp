@@ -27,7 +27,7 @@ int main() {
   training.input_noise_variance = 0.02;
   const auto model = core::TrainModel(dataset.train, training, rng);
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link;
   link.geometry = {.tx_distance_m = 1.0,
                    .tx_angle_rad = rf::DegToRad(30.0),
@@ -58,7 +58,7 @@ int main() {
     link.geometry.rx_angle_rad = scan.angle_rad;
   }
 
-  const core::Deployment deployment(model, surface, link);
+  const core::Deployment deployment(model, graph, link);
   sim::SyncModelConfig sync_config;
   sync_config.latency_scale =
       sim::PaperEquivalentLatencyScale(dataset.train.dim);

@@ -21,7 +21,7 @@ int main() {
   for (const auto& s : dataset.sensor_names) std::cout << ' ' << s;
   std::cout << "\n\n";
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link;
   link.geometry = {.tx_distance_m = 1.0,
                    .tx_angle_rad = rf::DegToRad(30.0),
@@ -42,7 +42,7 @@ int main() {
     const double digital =
         core::EvaluateFusedDigital(model, dataset, sensors);
 
-    const core::Deployment deployment(model, surface, link);
+    const core::Deployment deployment(model, graph, link);
     sim::SyncModelConfig sync_config;
     sync_config.latency_scale =
         sim::PaperEquivalentLatencyScale(256);

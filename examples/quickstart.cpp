@@ -36,7 +36,8 @@ int main() {
 
   // 3. Deploy: a 16x16 2-bit metasurface, the paper's default geometry
   //    (Tx 1 m @30 deg, Rx 3 m @40 deg, 5.25 GHz), office multipath.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  //    One panel is the depth-1 layer graph; the deployment borrows it.
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link;
   link.geometry = {.tx_distance_m = 1.0,
                    .tx_angle_rad = rf::DegToRad(30.0),
@@ -45,7 +46,7 @@ int main() {
                    .frequency_hz = 5.25e9};
   link.environment.profile = rf::OfficeProfile();
   link.mts_phase_noise_std = 0.05;
-  const core::Deployment deployment(model, surface, link);
+  const core::Deployment deployment(model, graph, link);
   std::cout << "Deployed: " << deployment.RoundsPerInference()
             << " transmission rounds per inference, mapping residual "
             << deployment.schedules().mean_relative_residual << ", link SNR "

@@ -64,8 +64,8 @@ int main() {
                      .link = TenantLink(45.0),
                      .options = face_options});
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::SharedSurfaceScheduler scheduler(surface, std::move(tenants));
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::SharedSurfaceScheduler scheduler(graph, std::move(tenants));
 
   std::cout << "TDMA frame (" << scheduler.FrameDuration() * 1e3
             << " ms, " << scheduler.PerDeviceRate()

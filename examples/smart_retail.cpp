@@ -31,7 +31,7 @@ int main() {
   std::cout << "Digital accuracy: "
             << 100.0 * core::EvaluateDigital(model, dataset.test) << "%\n";
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link;
   link.geometry = {.tx_distance_m = 1.0,
                    .tx_angle_rad = rf::DegToRad(30.0),
@@ -51,7 +51,7 @@ int main() {
                           core::ParallelismMode::kSubcarrier}) {
     core::DeploymentOptions options;
     options.mode = mode;
-    const core::Deployment deployment(model, surface, link, options);
+    const core::Deployment deployment(model, graph, link, options);
     Rng eval_rng(71);
     const double accuracy =
         deployment.EvaluateAccuracy(dataset.test, sync, eval_rng, 150);

@@ -33,7 +33,7 @@ EnvironmentEstimate EstimateEnvironment(
   std::vector<sim::Complex> pilots(options.num_pilots);
   for (auto& p : pilots) p = rng.UnitPhasor();
   const sim::MtsSchedule schedule(options.num_pilots, null_solution.codes);
-  const auto z = link.TransmitSequence(pilots, schedule,
+  const auto z = link.TransmitSequence(pilots, schedule, sim::LayerSchedules{},
                                        /*mts_clock_offset_us=*/0.0, rng);
 
   // Least squares: H = sum z_i conj(x_i) / sum |x_i|^2.

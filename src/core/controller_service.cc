@@ -8,17 +8,17 @@
 namespace metaai::core {
 
 ControllerService::ControllerService(TrainedModel model,
-                                     const mts::Metasurface& surface,
+                                     const mts::LayerGraph& graph,
                                      sim::OtaLinkConfig assumed_link,
                                      ControllerServiceConfig config)
     : model_(std::move(model)),
-      surface_(surface),
+      graph_(graph),
       assumed_link_(std::move(assumed_link)),
       config_(std::move(config)) {
   Check(config_.report_window > 0, "report window must be positive");
   Check(config_.rss_drop_threshold_db > 0.0,
         "drop threshold must be positive");
-  deployment_ = std::make_unique<Deployment>(model_, surface_, assumed_link_,
+  deployment_ = std::make_unique<Deployment>(model_, graph_, assumed_link_,
                                              config_.deployment);
   settle_remaining_ = config_.settle_reports;
   Log("deployed initial mapping");
@@ -61,7 +61,7 @@ bool ControllerService::OnRssReport(double rss_db,
   // Persistent drop: the receiver moved. Re-scan, re-solve, redeploy.
   Log("RSS drop detected (" + std::to_string(mean) + " dB vs baseline " +
       std::to_string(baseline_rss_db_) + " dB): recalibrating");
-  auto result = RecalibrateForReceiver(model_, surface_, assumed_link_,
+  auto result = RecalibrateForReceiver(model_, graph_, assumed_link_,
                                        true_link, config_.deployment,
                                        config_.recalibration);
   assumed_link_.geometry.rx_angle_rad = result.report.estimated_angle_rad;

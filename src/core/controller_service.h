@@ -39,10 +39,15 @@ struct ControllerEvent {
 
 class ControllerService {
  public:
-  /// Deploys `model` for `assumed_link` immediately.
-  ControllerService(TrainedModel model, const mts::Metasurface& surface,
+  /// Deploys `model` over `graph` for `assumed_link` immediately.
+  /// `graph` must outlive the service (a temporary graph is rejected at
+  /// compile time).
+  ControllerService(TrainedModel model, const mts::LayerGraph& graph,
                     sim::OtaLinkConfig assumed_link,
                     ControllerServiceConfig config = {});
+  ControllerService(TrainedModel model, const mts::LayerGraph&& graph,
+                    sim::OtaLinkConfig assumed_link,
+                    ControllerServiceConfig config = {}) = delete;
 
   const Deployment& deployment() const { return *deployment_; }
   std::size_t reconfigurations() const { return reconfigurations_; }
@@ -65,7 +70,7 @@ class ControllerService {
   void Log(std::string what);
 
   TrainedModel model_;
-  const mts::Metasurface& surface_;
+  const mts::LayerGraph& graph_;
   sim::OtaLinkConfig assumed_link_;
   ControllerServiceConfig config_;
   std::unique_ptr<Deployment> deployment_;

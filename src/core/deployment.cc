@@ -68,7 +68,6 @@ std::vector<sim::Observation> BuildObservations(
 
 namespace {
 
-// Shared constructor plumbing for the surface and graph overloads.
 sim::OtaLinkConfig DeployLinkConfig(sim::OtaLinkConfig link_config,
                                     const TrainedModel& model,
                                     const DeploymentOptions& options) {
@@ -96,20 +95,6 @@ MappingOptions DeployMappingOptions(const DeploymentOptions& options) {
 }
 
 }  // namespace
-
-Deployment::Deployment(const TrainedModel& model,
-                       const mts::Metasurface& surface,
-                       sim::OtaLinkConfig link_config,
-                       DeploymentOptions options)
-    : modulation_(model.modulation),
-      num_classes_(model.num_classes()),
-      options_(options),
-      link_(surface, DeployLinkConfig(std::move(link_config), model, options)),
-      schedules_(MapWeights(model.network.weights(), link_,
-                            DeployMappingOptions(options))) {
-  PrepareRounds();
-  EmitScheduleProbes();
-}
 
 Deployment::Deployment(const TrainedModel& model, const mts::LayerGraph& graph,
                        sim::OtaLinkConfig link_config,
@@ -222,18 +207,6 @@ SoftDecision Deployment::ClassifyWithMargin(const std::vector<double>& pixels,
     decision.margin = std::max(0.0, (*top - second) / *top);
   }
   return decision;
-}
-
-std::vector<int> Deployment::ClassifyBatch(
-    std::span<const std::vector<double>> samples,
-    std::span<const double> offsets_us, std::span<Rng> rngs) const {
-  Check(samples.size() == offsets_us.size() && samples.size() == rngs.size(),
-        "ClassifyBatch spans must have matching sizes");
-  std::vector<int> predicted(samples.size(), -1);
-  obs::DeterministicParallelFor(samples.size(), [&](std::size_t i) {
-    predicted[i] = Classify(samples[i], offsets_us[i], rngs[i]);
-  });
-  return predicted;
 }
 
 double Deployment::EvaluateAccuracy(const nn::RealDataset& test,

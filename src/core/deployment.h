@@ -15,14 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/training.h"
 #include "core/weight_mapper.h"
 #include "mts/layer_graph.h"
-#include "mts/metasurface.h"
 #include "nn/types.h"
 #include "sim/link.h"
 #include "sim/sync.h"
@@ -59,20 +57,18 @@ struct SoftDecision {
 
 class Deployment {
  public:
-  /// Maps `model`'s weights onto `surface` for the link described by
-  /// `link_config` (its observation list is built internally from the
-  /// parallelism mode).
-  Deployment(const TrainedModel& model, const mts::Metasurface& surface,
-             sim::OtaLinkConfig link_config, DeploymentOptions options = {});
-
-  /// Cascade deployment over a multi-surface layer graph: the alternating
-  /// cascade solver maps weights jointly across the layers and every
-  /// inference round drives the upper-layer schedules alongside the front
-  /// panel. `graph` must outlive the deployment (same contract as the
-  /// surface overload). A depth-1 graph reproduces the single-surface
-  /// constructor bit for bit.
+  /// Maps `model`'s weights onto the surface cascade `graph` for the link
+  /// described by `link_config` (its observation list is built internally
+  /// from the parallelism mode). On a deep graph the alternating cascade
+  /// solver maps weights jointly across the layers and every inference
+  /// round drives the upper-layer schedules alongside the front panel; a
+  /// single panel is the depth-1 graph. `graph` must outlive the
+  /// deployment (a temporary graph is rejected at compile time).
   Deployment(const TrainedModel& model, const mts::LayerGraph& graph,
              sim::OtaLinkConfig link_config, DeploymentOptions options = {});
+  Deployment(const TrainedModel& model, const mts::LayerGraph&& graph,
+             sim::OtaLinkConfig link_config,
+             DeploymentOptions options = {}) = delete;
 
   const sim::OtaLink& link() const { return link_; }
   const MappedSchedules& schedules() const { return schedules_; }
@@ -95,15 +91,6 @@ class Deployment {
   /// two never perturbs a seeded run.
   SoftDecision ClassifyWithMargin(const std::vector<double>& pixels,
                                   double mts_clock_offset_us, Rng& rng) const;
-
-  /// Batched classification for serving: one sample per entry with its
-  /// own clock offset and pre-forked RNG stream (see par::ForkRngs).
-  /// Deterministically parallel — predictions are bitwise identical for
-  /// any thread count and any batching composition, because sample i
-  /// only ever touches rngs[i]. All three spans must be the same length.
-  std::vector<int> ClassifyBatch(std::span<const std::vector<double>> samples,
-                                 std::span<const double> offsets_us,
-                                 std::span<Rng> rngs) const;
 
   /// Accuracy over a test set; a fresh clock offset is drawn from `sync`
   /// for every inference. `max_samples` of 0 uses the whole set.

@@ -1,7 +1,6 @@
 #include "core/fault_recovery.h"
 
 #include <cmath>
-#include <functional>
 #include <span>
 #include <utility>
 
@@ -45,9 +44,7 @@ std::vector<sim::Complex> MeasureResponse(
     upper.emplace_back(probe_symbols, layer);
   }
   const ComplexMatrix z =
-      upper.empty()
-          ? link.TransmitSequence(data, schedule, 0.0, rng)
-          : link.TransmitSequence(data, schedule, upper, 0.0, rng);
+      link.TransmitSequence(data, schedule, upper, 0.0, rng);
   std::vector<sim::Complex> response(link.num_observations());
   for (std::size_t o = 0; o < response.size(); ++o) {
     sim::Complex acc{0.0, 0.0};
@@ -160,8 +157,7 @@ FaultDiagnosis DiagnoseDeployment(const Deployment& deployment, Rng& rng,
 
 namespace {
 
-// Folds a diagnosis into the mapping options shared by both recovery
-// overloads.
+// Folds a diagnosis into the mapping options of the re-solve.
 DeploymentOptions ApplyDiagnosis(DeploymentOptions options,
                                  const FaultDiagnosis& diagnosis) {
   Check(diagnosis.num_stuck < diagnosis.healthy_mask.size(),
@@ -178,16 +174,6 @@ DeploymentOptions ApplyDiagnosis(DeploymentOptions options,
 }  // namespace
 
 Deployment RecoverFromFaults(const TrainedModel& model,
-                             const mts::Metasurface& surface,
-                             sim::OtaLinkConfig link_config,
-                             DeploymentOptions options,
-                             const FaultDiagnosis& diagnosis) {
-  obs::Count("fault.resolves");
-  return Deployment(model, surface, std::move(link_config),
-                    ApplyDiagnosis(std::move(options), diagnosis));
-}
-
-Deployment RecoverFromFaults(const TrainedModel& model,
                              const mts::LayerGraph& graph,
                              sim::OtaLinkConfig link_config,
                              DeploymentOptions options,
@@ -199,21 +185,23 @@ Deployment RecoverFromFaults(const TrainedModel& model,
 
 namespace {
 
-/// Shared diagnose -> re-solve -> evaluate tail of the watchdog entries
-/// (polling, alert-driven, graph); `recover` rebuilds the deployment
-/// from the diagnosis and `site` labels the kFault probe.
-void DiagnoseAndRecover(
-    const Deployment& deployment, const nn::RealDataset& test, Rng& rng,
-    const FaultWatchdogConfig& config,
-    const std::function<Deployment(const FaultDiagnosis&)>& recover,
-    const char* site, FaultWatchdogResult& result) {
+/// Shared diagnose -> re-solve -> evaluate tail of the polling and
+/// alert-driven watchdogs; `site` labels the kFault probe.
+void DiagnoseAndRecover(const TrainedModel& model, const mts::LayerGraph& graph,
+                        const sim::OtaLinkConfig& link_config,
+                        const DeploymentOptions& options,
+                        const Deployment& deployment,
+                        const nn::RealDataset& test, Rng& rng,
+                        const FaultWatchdogConfig& config, const char* site,
+                        FaultWatchdogResult& result) {
   const FaultDiagnosis diagnosis =
       DiagnoseDeployment(deployment, rng, config.diagnosis);
   result.report.num_stuck_detected = diagnosis.num_stuck;
   result.report.wdd_ratio = diagnosis.wdd_ratio;
   // Re-solve even when nothing is stuck: the measured steering also
   // repairs drift-induced miscalibration.
-  result.recovered.emplace(recover(diagnosis));
+  result.recovered.emplace(
+      RecoverFromFaults(model, graph, link_config, options, diagnosis));
   result.report.recovered_accuracy =
       result.recovered->EvaluateAccuracyAtOffset(test, 0.0, rng,
                                                  config.check_samples);
@@ -231,35 +219,6 @@ void DiagnoseAndRecover(
 }
 
 }  // namespace
-
-FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
-                                     const mts::Metasurface& surface,
-                                     const sim::OtaLinkConfig& link_config,
-                                     const DeploymentOptions& options,
-                                     const Deployment& deployment,
-                                     const nn::RealDataset& test,
-                                     double reference_accuracy, Rng& rng,
-                                     const FaultWatchdogConfig& config) {
-  FaultWatchdogResult result;
-  result.report.reference_accuracy = reference_accuracy;
-  result.report.observed_accuracy = deployment.EvaluateAccuracyAtOffset(
-      test, 0.0, rng, config.check_samples);
-  result.report.tripped =
-      reference_accuracy - result.report.observed_accuracy >
-      config.accuracy_drop_threshold;
-  obs::Count("fault.watchdog_checks");
-  if (!result.report.tripped) return result;
-
-  obs::Count("fault.watchdog_trips");
-  DiagnoseAndRecover(
-      deployment, test, rng, config,
-      [&](const FaultDiagnosis& diagnosis) {
-        return RecoverFromFaults(model, surface, link_config, options,
-                                 diagnosis);
-      },
-      "fault.watchdog", result);
-  return result;
-}
 
 FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
                                      const mts::LayerGraph& graph,
@@ -280,18 +239,13 @@ FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
   if (!result.report.tripped) return result;
 
   obs::Count("fault.watchdog_trips");
-  DiagnoseAndRecover(
-      deployment, test, rng, config,
-      [&](const FaultDiagnosis& diagnosis) {
-        return RecoverFromFaults(model, graph, link_config, options,
-                                 diagnosis);
-      },
-      "fault.watchdog", result);
+  DiagnoseAndRecover(model, graph, link_config, options, deployment, test, rng,
+                     config, "fault.watchdog", result);
   return result;
 }
 
 FaultWatchdogResult RunFaultWatchdogOnAlert(
-    const TrainedModel& model, const mts::Metasurface& surface,
+    const TrainedModel& model, const mts::LayerGraph& graph,
     const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,
     const Deployment& deployment, const nn::RealDataset& test,
     double reference_accuracy, const obs::health::Alert& alert, Rng& rng,
@@ -306,13 +260,8 @@ FaultWatchdogResult RunFaultWatchdogOnAlert(
   result.report.observed_accuracy = alert.value;
   result.report.tripped = true;
   obs::Count("fault.watchdog_alert_trips");
-  DiagnoseAndRecover(
-      deployment, test, rng, config,
-      [&](const FaultDiagnosis& diagnosis) {
-        return RecoverFromFaults(model, surface, link_config, options,
-                                 diagnosis);
-      },
-      "fault.watchdog_alert", result);
+  DiagnoseAndRecover(model, graph, link_config, options, deployment, test, rng,
+                     config, "fault.watchdog_alert", result);
   return result;
 }
 

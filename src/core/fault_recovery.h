@@ -71,25 +71,23 @@ struct FaultDiagnosis {
 FaultDiagnosis DiagnoseDeployment(const Deployment& deployment, Rng& rng,
                                   const FaultDiagnosisConfig& config = {});
 
-/// Rebuilds the deployment with the diagnosis applied: stuck atoms are
-/// masked out of the solve, the mapper solves against the measured
-/// steering, and the measured offsets are folded into the targets.
+/// Rebuilds the deployment over `graph` with the diagnosis applied:
+/// stuck atoms are masked out of the solve, the mapper solves against
+/// the measured steering, and the measured offsets are folded into the
+/// targets (front panel only; the upper layers are fault-free by model).
 /// `options` should match the degraded deployment's options; its mapping
-/// fault fields are overwritten.
-Deployment RecoverFromFaults(const TrainedModel& model,
-                             const mts::Metasurface& surface,
-                             sim::OtaLinkConfig link_config,
-                             DeploymentOptions options,
-                             const FaultDiagnosis& diagnosis);
-
-/// Cascade recovery: rebuilds the deployment over `graph` (front-panel
-/// faults masked and re-solved exactly as above; the upper layers are
-/// fault-free by model). `graph` must outlive the returned deployment.
+/// fault fields are overwritten. `graph` must outlive the returned
+/// deployment (a temporary graph is rejected at compile time).
 Deployment RecoverFromFaults(const TrainedModel& model,
                              const mts::LayerGraph& graph,
                              sim::OtaLinkConfig link_config,
                              DeploymentOptions options,
                              const FaultDiagnosis& diagnosis);
+Deployment RecoverFromFaults(const TrainedModel& model,
+                             const mts::LayerGraph&& graph,
+                             sim::OtaLinkConfig link_config,
+                             DeploymentOptions options,
+                             const FaultDiagnosis& diagnosis) = delete;
 
 struct FaultWatchdogConfig {
   FaultDiagnosisConfig diagnosis;
@@ -118,19 +116,8 @@ struct FaultWatchdogResult {
 
 /// Spot-checks `deployment` against `reference_accuracy`; on a trip runs
 /// the full diagnose -> re-solve pipeline and evaluates the recovered
-/// deployment. Emits fault.* counters and the deploy.recovered_accuracy
-/// gauge.
-FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
-                                     const mts::Metasurface& surface,
-                                     const sim::OtaLinkConfig& link_config,
-                                     const DeploymentOptions& options,
-                                     const Deployment& deployment,
-                                     const nn::RealDataset& test,
-                                     double reference_accuracy, Rng& rng,
-                                     const FaultWatchdogConfig& config = {});
-
-/// Watchdog over a cascade deployment: identical pipeline, but the
-/// recovered deployment is rebuilt over `graph`.
+/// deployment, rebuilt over `graph` (which must outlive the result).
+/// Emits fault.* counters and the deploy.recovered_accuracy gauge.
 FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
                                      const mts::LayerGraph& graph,
                                      const sim::OtaLinkConfig& link_config,
@@ -139,6 +126,12 @@ FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
                                      const nn::RealDataset& test,
                                      double reference_accuracy, Rng& rng,
                                      const FaultWatchdogConfig& config = {});
+FaultWatchdogResult RunFaultWatchdog(
+    const TrainedModel& model, const mts::LayerGraph&& graph,
+    const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,
+    const Deployment& deployment, const nn::RealDataset& test,
+    double reference_accuracy, Rng& rng,
+    const FaultWatchdogConfig& config = {}) = delete;
 
 /// Alert-driven watchdog entry: a drift alert from the health layer
 /// (obs/alerts.h — AlertKind::kDriftDetected, or any critical alert)
@@ -152,10 +145,16 @@ FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
 /// fault.* recovery instruments. Throws CheckError for alerts that are
 /// neither drift-class nor critical.
 FaultWatchdogResult RunFaultWatchdogOnAlert(
-    const TrainedModel& model, const mts::Metasurface& surface,
+    const TrainedModel& model, const mts::LayerGraph& graph,
     const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,
     const Deployment& deployment, const nn::RealDataset& test,
     double reference_accuracy, const obs::health::Alert& alert, Rng& rng,
     const FaultWatchdogConfig& config = {});
+FaultWatchdogResult RunFaultWatchdogOnAlert(
+    const TrainedModel& model, const mts::LayerGraph&& graph,
+    const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,
+    const Deployment& deployment, const nn::RealDataset& test,
+    double reference_accuracy, const obs::health::Alert& alert, Rng& rng,
+    const FaultWatchdogConfig& config = {}) = delete;
 
 }  // namespace metaai::core

@@ -282,7 +282,7 @@ double HybridModel::Train(const nn::RealDataset& train,
 }
 
 double EvaluateHybridOverTheAir(const HybridModel& model,
-                                const mts::Metasurface& surface,
+                                const mts::LayerGraph& graph,
                                 const sim::OtaLinkConfig& link_config,
                                 const nn::RealDataset& test,
                                 const sim::SyncModel& sync, Rng& rng,
@@ -291,8 +291,7 @@ double EvaluateHybridOverTheAir(const HybridModel& model,
   test.Validate();
   Check(test.dim == model.input_dim(), "dataset dimension mismatch");
   // Deploy the OTA layer: the surface computes the hidden units.
-  const Deployment deployment(model.ota_layer(), surface, link_config,
-                              options);
+  const Deployment deployment(model.ota_layer(), graph, link_config, options);
   const std::size_t n =
       max_samples > 0 ? std::min(max_samples, test.size()) : test.size();
   Check(n > 0, "empty test set");

@@ -90,10 +90,10 @@ class HybridModel {
 };
 
 /// Over-the-air accuracy of a hybrid model: the OTA layer is deployed on
-/// `surface`/`link_config` (H transmission rounds per inference), the
+/// `graph`/`link_config` (H transmission rounds per inference), the
 /// head runs at the server.
 double EvaluateHybridOverTheAir(const HybridModel& model,
-                                const mts::Metasurface& surface,
+                                const mts::LayerGraph& graph,
                                 const sim::OtaLinkConfig& link_config,
                                 const nn::RealDataset& test,
                                 const sim::SyncModel& sync, Rng& rng,

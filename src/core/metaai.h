@@ -1,15 +1,17 @@
 // Umbrella header: the public MetaAI API.
 //
-// Typical usage (see examples/quickstart.cc):
+// Typical usage (see examples/quickstart.cpp):
 //
 //   auto dataset = metaai::data::MakeMnistLike();
 //   metaai::Rng rng(42);
 //   auto model = metaai::core::TrainModel(dataset.train, {}, rng);
 //
-//   metaai::mts::Metasurface surface{metaai::mts::MetasurfaceSpec{}};
+//   // One 16x16 panel: the depth-1 graph. It must outlive the deployment.
+//   const metaai::mts::LayerGraph graph(
+//       metaai::mts::Metasurface{metaai::mts::MetasurfaceSpec{}});
 //   metaai::sim::OtaLinkConfig link;           // the paper's default setup
 //   link.geometry = {...};
-//   metaai::core::Deployment deployment(model, surface, link);
+//   metaai::core::Deployment deployment(model, graph, link);
 //
 //   metaai::sim::SyncModel sync(metaai::sim::SyncMode::kCdfa);
 //   double accuracy = deployment.EvaluateAccuracy(dataset.test, sync, rng);

@@ -39,9 +39,11 @@ RecalibrationReport EstimateReceiverAngle(
 }
 
 RecalibratedDeployment RecalibrateForReceiver(
-    const TrainedModel& model, const mts::Metasurface& surface,
+    const TrainedModel& model, const mts::LayerGraph& graph,
     sim::OtaLinkConfig assumed_link, const sim::OtaLinkConfig& true_link,
     const DeploymentOptions& options, const RecalibrationConfig& config) {
+  // The beam scan steers the schedule-driven front panel.
+  const mts::Metasurface& surface = graph.front();
   // The probe measures the power that would actually arrive at the (true)
   // receiver position for a candidate focus configuration — on hardware
   // this number comes back over the feedback channel.
@@ -60,7 +62,7 @@ RecalibratedDeployment RecalibrateForReceiver(
       config);
 
   assumed_link.geometry.rx_angle_rad = report.estimated_angle_rad;
-  return {Deployment(model, surface, assumed_link, options), report};
+  return {Deployment(model, graph, assumed_link, options), report};
 }
 
 }  // namespace metaai::core

@@ -61,17 +61,24 @@ RecalibrationReport EstimateReceiverAngle(
     const mts::Controller& controller, const RecalibrationConfig& config = {});
 
 /// Convenience: full pipeline against a simulated "true" link — scans for
-/// the receiver of `true_link_config`, then rebuilds the deployment with
-/// the estimated angle. Returns the new deployment and the report.
+/// the receiver of `true_link_config` with the front panel of `graph`,
+/// then rebuilds the deployment over `graph` with the estimated angle.
+/// Returns the new deployment and the report. `graph` must outlive the
+/// returned deployment (a temporary graph is rejected at compile time).
 struct RecalibratedDeployment {
   Deployment deployment;
   RecalibrationReport report;
 };
 
 RecalibratedDeployment RecalibrateForReceiver(
-    const TrainedModel& model, const mts::Metasurface& surface,
+    const TrainedModel& model, const mts::LayerGraph& graph,
     sim::OtaLinkConfig assumed_link, const sim::OtaLinkConfig& true_link,
     const DeploymentOptions& options = {},
     const RecalibrationConfig& config = {});
+RecalibratedDeployment RecalibrateForReceiver(
+    const TrainedModel& model, const mts::LayerGraph&& graph,
+    sim::OtaLinkConfig assumed_link, const sim::OtaLinkConfig& true_link,
+    const DeploymentOptions& options = {},
+    const RecalibrationConfig& config = {}) = delete;
 
 }  // namespace metaai::core

@@ -48,23 +48,10 @@ mts::ControllerConfig AlignedController(mts::ControllerConfig controller,
 
 }  // namespace
 
-SharedSurfaceScheduler::SharedSurfaceScheduler(
-    const mts::Metasurface& surface, std::vector<DeviceSpec> devices,
-    SchedulerConfig config)
-    : config_(std::move(config)) {
-  Init(surface, /*graph=*/nullptr, std::move(devices));
-}
-
 SharedSurfaceScheduler::SharedSurfaceScheduler(const mts::LayerGraph& graph,
                                                std::vector<DeviceSpec> devices,
                                                SchedulerConfig config)
     : config_(std::move(config)) {
-  Init(graph.front(), &graph, std::move(devices));
-}
-
-void SharedSurfaceScheduler::Init(const mts::Metasurface& surface,
-                                  const mts::LayerGraph* graph,
-                                  std::vector<DeviceSpec> devices) {
   Check(!devices.empty(), "scheduler needs at least one device");
   Check(config_.symbol_rate_hz > 0.0, "symbol rate must be positive");
   Check(config_.guard_interval_s >= 0.0, "negative guard interval");
@@ -75,7 +62,7 @@ void SharedSurfaceScheduler::Init(const mts::Metasurface& surface,
   // every device in turn; the frame is feasible iff the controller can
   // sustain that rate at all (slots never overlap in TDMA).
   config_.controller =
-      AlignedController(config_.controller, surface.num_atoms());
+      AlignedController(config_.controller, graph.front().num_atoms());
   const mts::Controller controller(config_.controller);
   const bool sustainable = controller.CanSustain(config_.symbol_rate_hz, 2);
   obs::SetGauge("scheduler.switch_utilization",
@@ -92,12 +79,8 @@ void SharedSurfaceScheduler::Init(const mts::Metasurface& surface,
   for (DeviceSpec& spec : devices) {
     names_.push_back(spec.name);
     spec.link.symbol_rate_hz = config_.symbol_rate_hz;
-    deployments_.push_back(
-        graph != nullptr
-            ? std::make_unique<Deployment>(spec.model, *graph, spec.link,
-                                           spec.options)
-            : std::make_unique<Deployment>(spec.model, surface, spec.link,
-                                           spec.options));
+    deployments_.push_back(std::make_unique<Deployment>(
+        spec.model, graph, spec.link, spec.options));
     const Deployment& deployment = *deployments_.back();
     const std::size_t rounds = deployment.RoundsPerInference();
     const std::size_t symbols =

@@ -63,21 +63,18 @@ std::vector<std::size_t> AllocateSlots(std::span<const std::size_t> pending,
 
 class SharedSurfaceScheduler {
  public:
-  /// Builds one deployment per device on the shared `surface`. Throws if
-  /// the combined schedule exceeds the controller's switching budget.
-  SharedSurfaceScheduler(const mts::Metasurface& surface,
-                         std::vector<DeviceSpec> devices,
-                         SchedulerConfig config = {});
-
-  /// Shares a whole surface cascade across devices: every deployment is
-  /// built over `graph` (which must outlive the scheduler). The
-  /// controller budget still gates the schedule-driven front panel —
-  /// upper layers also switch per symbol and are assumed to have their
-  /// own controllers. A depth-1 graph reproduces the surface overload
-  /// bit for bit.
+  /// Builds one deployment per device over the shared surface cascade
+  /// `graph` (which must outlive the scheduler; a temporary graph is
+  /// rejected at compile time). Throws if the combined schedule exceeds
+  /// the controller's switching budget. The controller budget gates the
+  /// schedule-driven front panel — upper layers also switch per symbol
+  /// and are assumed to have their own controllers.
   SharedSurfaceScheduler(const mts::LayerGraph& graph,
                          std::vector<DeviceSpec> devices,
                          SchedulerConfig config = {});
+  SharedSurfaceScheduler(const mts::LayerGraph&& graph,
+                         std::vector<DeviceSpec> devices,
+                         SchedulerConfig config = {}) = delete;
 
   std::size_t num_devices() const { return deployments_.size(); }
   const Deployment& deployment(std::size_t device) const;
@@ -118,10 +115,6 @@ class SharedSurfaceScheduler {
                         std::size_t max_samples = 0) const;
 
  private:
-  /// Shared constructor body; `graph` is null for single-surface use.
-  void Init(const mts::Metasurface& surface, const mts::LayerGraph* graph,
-            std::vector<DeviceSpec> devices);
-
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
   std::vector<ScheduledSlot> frame_;

@@ -113,54 +113,149 @@ mts::SolveOptions SolverFor(const MappingOptions& options,
   return solver;
 }
 
+MappingScheme ResolveScheme(const MappingOptions& options,
+                            const sim::OtaLink& link) {
+  if (options.scheme != MappingScheme::kAuto) return options.scheme;
+  return link.num_observations() == 1 ? MappingScheme::kSequential
+                                      : MappingScheme::kParallel;
+}
+
+// ---------------------------------------------------------------------
+// Every mapping is a cascade mapping: each (round, symbol) target set
+// runs through the cascade solver. The front panel keeps its per-symbol
+// schedule while the upper layers are solved jointly with it (they also
+// switch per symbol; they just never see faults, masks or the mid-symbol
+// flip). The upper steering rows carry the normalizing coupling folded
+// in, so the composed cascade response lands directly in front-panel
+// solver units. A single panel is the depth-1 cascade: no upper layers,
+// a unit gain product, and a cascade solve that is exactly the
+// single-panel solve.
+// ---------------------------------------------------------------------
+
+// Upper-layer steering matrices (num_observations x atoms_l) with the
+// coupling c_l(o) folded into row o; index 0 is layer 1.
+std::vector<ComplexMatrix> UpperLayerMatrices(const sim::OtaLink& link) {
+  const std::size_t width = link.num_observations();
+  std::vector<ComplexMatrix> layers;
+  layers.reserve(link.num_layers() - 1);
+  for (std::size_t l = 1; l < link.num_layers(); ++l) {
+    const std::size_t atoms = link.UpperSteeringVector(l, 0).size();
+    ComplexMatrix matrix(width, atoms);
+    for (std::size_t o = 0; o < width; ++o) {
+      const std::vector<sim::Complex> row = link.UpperSteeringVector(l, o);
+      const double coupling = link.UpperCoupling(l, o);
+      Check(row.size() == atoms, "upper layer atom count mismatch");
+      for (std::size_t m = 0; m < atoms; ++m) matrix(o, m) = coupling * row[m];
+    }
+    layers.push_back(std::move(matrix));
+  }
+  return layers;
+}
+
+// Focus-gain product of the upper layers at observation `o`: each folded
+// row reaches Reachable(row) = coupling_gain at full focus, so the
+// product is the deterministic magnitude headroom the cascade adds on
+// top of the front panel's aperture (exactly 1 without upper layers).
+double UpperGainProduct(const std::vector<ComplexMatrix>& upper,
+                        std::size_t o) {
+  double gain = 1.0;
+  for (const ComplexMatrix& matrix : upper) {
+    gain *= Reachable({matrix.row(o), matrix.cols()}, {});
+  }
+  return gain;
+}
+
+// Solve options for upper layer `u` of a (round, symbol) cascade solve:
+// the caller's budget applies, but masks and manual initial codes are
+// front-panel shaped and must not leak upstream. Warm starts seed from
+// the cached entry's matching upper schedule.
+mts::SolveOptions UpperSolverFor(const MappingOptions& options,
+                                 const mts::CachedConfig* warm_from,
+                                 std::size_t round, std::size_t symbol,
+                                 std::size_t u) {
+  mts::SolveOptions solver = options.solver;
+  solver.atom_mask.clear();
+  solver.initial_codes.clear();
+  if (warm_from != nullptr && !warm_from->upper_rounds.empty()) {
+    solver.initial_codes = warm_from->upper_rounds[round][u][symbol];
+    solver.min_sweep_improvement = options.warm_start_min_improvement;
+  }
+  return solver;
+}
+
+// The per-layer inputs of one (round, symbol) cascade solve: the front
+// panel under the caller's solver options, then each upper layer.
+std::vector<mts::CascadeLayerInput> CascadeLayers(
+    const ComplexMatrix& front, const std::vector<ComplexMatrix>& upper,
+    const MappingOptions& options, const mts::CachedConfig* warm_from,
+    std::size_t round, std::size_t symbol) {
+  std::vector<mts::CascadeLayerInput> layers;
+  layers.reserve(1 + upper.size());
+  layers.push_back({front, SolverFor(options, warm_from, round, symbol)});
+  for (std::size_t u = 0; u < upper.size(); ++u) {
+    layers.push_back(
+        {upper[u], UpperSolverFor(options, warm_from, round, symbol, u)});
+  }
+  return layers;
+}
+
 MappedSchedules MapSequentialImpl(const ComplexMatrix& weights,
                                   const sim::OtaLink& link,
                                   const MappingOptions& options,
                                   const mts::CachedConfig* warm_from) {
   Check(link.num_observations() == 1,
         "sequential mapping expects a single-observation link");
-  const ComplexMatrix resolved = ResolveSteering(weights, link, options);
-  std::vector<sim::Complex> steering(resolved.cols());
-  for (std::size_t m = 0; m < steering.size(); ++m) {
-    steering[m] = resolved(0, m);
-  }
+  const ComplexMatrix front = ResolveSteering(weights, link, options);
+  const std::vector<ComplexMatrix> upper = UpperLayerMatrices(link);
   const double max_mag = MaxWeightMagnitude(weights);
   Check(max_mag > 0.0, "all-zero weight matrix");
-  const double scale = options.target_fraction *
-                       Reachable(steering, options.solver.atom_mask) / max_mag;
+  const double scale =
+      options.target_fraction *
+      Reachable({front.row(0), front.cols()}, options.solver.atom_mask) *
+      UpperGainProduct(upper, 0) / max_mag;
   const sim::Complex env_offset = ResolveTargetOffsets(link, options)[0];
+  if (!upper.empty()) obs::Count("mapper.cascade_mappings");
 
   MappedSchedules result;
   result.scale = scale;
   const std::size_t cols = weights.cols();
+  const mts::CascadeOptions cascade{.outer_sweeps =
+                                        options.cascade_outer_sweeps};
   // Per-(output, symbol) solves share no state: fan out one task per
   // flattened (r, i) index, then assemble sequentially in the same index
   // order the serial loop used, so codes *and* the residual float
   // accumulation are bitwise identical for any thread count.
-  std::vector<mts::SolveResult> solved(weights.rows() * cols);
+  std::vector<mts::CascadeResult> solved(weights.rows() * cols);
   obs::DeterministicParallelFor(solved.size(), [&](std::size_t k) {
     const std::size_t r = k / cols;
     const std::size_t i = k % cols;
-    const sim::Complex target = scale * weights(r, i) - env_offset;
-    solved[k] = mts::SolveSingleTarget(steering, target,
-                                       SolverFor(options, warm_from, r, i));
+    const sim::Complex targets[] = {scale * weights(r, i) - env_offset};
+    solved[k] = mts::SolveCascadeMultiTarget(
+        CascadeLayers(front, upper, options, warm_from, r, i), targets,
+        cascade);
   });
   double residual_sum = 0.0;
   std::size_t residual_count = 0;
   for (std::size_t r = 0; r < weights.rows(); ++r) {
     sim::MtsSchedule schedule;
     schedule.reserve(cols);
+    sim::LayerSchedules round_upper(upper.size());
+    for (sim::MtsSchedule& layer : round_upper) layer.reserve(cols);
     for (std::size_t i = 0; i < cols; ++i) {
       const sim::Complex target = scale * weights(r, i) - env_offset;
-      mts::SolveResult& solve = solved[r * cols + i];
-      result.total_sweeps += solve.sweeps_used;
-      schedule.push_back(std::move(solve.codes));
+      mts::CascadeResult& solve = solved[r * cols + i];
+      result.total_sweeps += solve.total_sweeps;
+      schedule.push_back(std::move(solve.codes[0]));
+      for (std::size_t u = 0; u < upper.size(); ++u) {
+        round_upper[u].push_back(std::move(solve.codes[u + 1]));
+      }
       if (std::abs(target) > 1e-12) {
         residual_sum += solve.residual / std::abs(target);
         ++residual_count;
       }
     }
     result.rounds.push_back(std::move(schedule));
+    if (!upper.empty()) result.upper_rounds.push_back(std::move(round_upper));
     result.outputs.push_back({static_cast<int>(r)});
   }
   result.warm_started = warm_from != nullptr;
@@ -176,15 +271,13 @@ MappedSchedules MapParallelImpl(const ComplexMatrix& weights,
                                 const mts::CachedConfig* warm_from) {
   const ComplexMatrix steering = ResolveSteering(weights, link, options);
   const std::size_t width = steering.rows();
-  const std::size_t atoms = steering.cols();
+  const std::vector<ComplexMatrix> upper = UpperLayerMatrices(link);
   double min_reachable = 0.0;
-  {
-    std::vector<sim::Complex> row(atoms);
-    for (std::size_t o = 0; o < width; ++o) {
-      for (std::size_t m = 0; m < atoms; ++m) row[m] = steering(o, m);
-      const double reach = Reachable(row, options.solver.atom_mask);
-      min_reachable = (o == 0) ? reach : std::min(min_reachable, reach);
-    }
+  for (std::size_t o = 0; o < width; ++o) {
+    const double reach = Reachable({steering.row(o), steering.cols()},
+                                   options.solver.atom_mask) *
+                         UpperGainProduct(upper, o);
+    min_reachable = (o == 0) ? reach : std::min(min_reachable, reach);
   }
   const double max_mag = MaxWeightMagnitude(weights);
   Check(max_mag > 0.0, "all-zero weight matrix");
@@ -192,9 +285,9 @@ MappedSchedules MapParallelImpl(const ComplexMatrix& weights,
   // conservative 1/width headroom keeps every target reachable.
   const double scale = options.target_fraction * min_reachable /
                        (max_mag * static_cast<double>(width));
-
   const std::vector<sim::Complex> env_offsets =
       ResolveTargetOffsets(link, options);
+  if (!upper.empty()) obs::Count("mapper.cascade_mappings");
 
   MappedSchedules result;
   result.scale = scale;
@@ -229,253 +322,15 @@ MappedSchedules MapParallelImpl(const ComplexMatrix& weights,
   // One task per flattened (round, symbol) index; assembly below walks
   // the same index order as the serial loops so residual accumulation is
   // bitwise identical for any thread count.
-  std::vector<mts::SolveResult> solved(num_rounds * cols);
-  obs::DeterministicParallelFor(solved.size(), [&](std::size_t k) {
-    const std::size_t round = k / cols;
-    const std::size_t i = k % cols;
-    solved[k] = mts::SolveMultiTarget(steering, targets_for(round, i),
-                                      SolverFor(options, warm_from, round, i));
-  });
-
-  for (std::size_t round = 0; round < num_rounds; ++round) {
-    sim::MtsSchedule schedule;
-    schedule.reserve(cols);
-    for (std::size_t i = 0; i < cols; ++i) {
-      mts::SolveResult& solve = solved[round * cols + i];
-      const std::vector<sim::Complex> targets = targets_for(round, i);
-      result.total_sweeps += solve.sweeps_used;
-      schedule.push_back(std::move(solve.codes));
-      for (std::size_t o = 0; o < width; ++o) {
-        if (round_outputs[round][o] >= 0 && std::abs(targets[o]) > 1e-12) {
-          residual_sum += std::abs(solve.achieved[o] - targets[o]) /
-                          std::abs(targets[o]);
-          ++residual_count;
-        }
-      }
-    }
-    result.rounds.push_back(std::move(schedule));
-    result.outputs.push_back(std::move(round_outputs[round]));
-  }
-  result.mean_relative_residual =
-      residual_count > 0 ? residual_sum / static_cast<double>(residual_count)
-                         : 0.0;
-  result.warm_started = warm_from != nullptr;
-  return result;
-}
-
-MappingScheme ResolveScheme(const MappingOptions& options,
-                            const sim::OtaLink& link) {
-  if (options.scheme != MappingScheme::kAuto) return options.scheme;
-  return link.num_observations() == 1 ? MappingScheme::kSequential
-                                      : MappingScheme::kParallel;
-}
-
-// ---------------------------------------------------------------------
-// Cascade (depth K > 1) mapping. Each (round, symbol) target set runs
-// through the alternating cascade solver: the front panel keeps its
-// per-symbol schedule while the upper layers are solved jointly with it
-// (they also switch per symbol; they just never see faults, masks or the
-// mid-symbol flip). The upper steering rows carry the normalizing
-// coupling folded in, so the composed cascade response lands directly in
-// front-panel solver units and the scale/residual bookkeeping below
-// mirrors the single-surface implementations line for line.
-// ---------------------------------------------------------------------
-
-// Upper-layer steering matrices (num_observations x atoms_l) with the
-// coupling c_l(o) folded into row o; index 0 is layer 1.
-std::vector<ComplexMatrix> UpperLayerMatrices(const sim::OtaLink& link) {
-  const std::size_t width = link.num_observations();
-  std::vector<ComplexMatrix> layers;
-  layers.reserve(link.num_layers() - 1);
-  for (std::size_t l = 1; l < link.num_layers(); ++l) {
-    const std::size_t atoms = link.UpperSteeringVector(l, 0).size();
-    ComplexMatrix matrix(width, atoms);
-    for (std::size_t o = 0; o < width; ++o) {
-      const std::vector<sim::Complex> row = link.UpperSteeringVector(l, o);
-      const double coupling = link.UpperCoupling(l, o);
-      Check(row.size() == atoms, "upper layer atom count mismatch");
-      for (std::size_t m = 0; m < atoms; ++m) matrix(o, m) = coupling * row[m];
-    }
-    layers.push_back(std::move(matrix));
-  }
-  return layers;
-}
-
-// Focus-gain product of the upper layers at observation `o`: each folded
-// row reaches Reachable(row) = coupling_gain at full focus, so the
-// product is the deterministic magnitude headroom the cascade adds on
-// top of the front panel's aperture.
-double UpperGainProduct(const std::vector<ComplexMatrix>& upper,
-                        std::size_t o) {
-  double gain = 1.0;
-  std::vector<sim::Complex> row;
-  for (const ComplexMatrix& matrix : upper) {
-    row.assign(matrix.row(o), matrix.row(o) + matrix.cols());
-    gain *= Reachable(row, {});
-  }
-  return gain;
-}
-
-// Solve options for upper layer `u` of a (round, symbol) cascade solve:
-// the caller's budget applies, but masks and manual initial codes are
-// front-panel shaped and must not leak upstream. Warm starts seed from
-// the cached entry's matching upper schedule.
-mts::SolveOptions UpperSolverFor(const MappingOptions& options,
-                                 const mts::CachedConfig* warm_from,
-                                 std::size_t round, std::size_t symbol,
-                                 std::size_t u) {
-  mts::SolveOptions solver = options.solver;
-  solver.atom_mask.clear();
-  solver.initial_codes.clear();
-  if (warm_from != nullptr && !warm_from->upper_rounds.empty()) {
-    solver.initial_codes = warm_from->upper_rounds[round][u][symbol];
-    solver.min_sweep_improvement = options.warm_start_min_improvement;
-  }
-  return solver;
-}
-
-MappedSchedules MapCascadeSequentialImpl(const ComplexMatrix& weights,
-                                         const sim::OtaLink& link,
-                                         const MappingOptions& options,
-                                         const mts::CachedConfig* warm_from) {
-  Check(link.num_observations() == 1,
-        "sequential mapping expects a single-observation link");
-  const ComplexMatrix resolved = ResolveSteering(weights, link, options);
-  ComplexMatrix front(1, resolved.cols());
-  std::vector<sim::Complex> steering(resolved.cols());
-  for (std::size_t m = 0; m < steering.size(); ++m) {
-    steering[m] = resolved(0, m);
-    front(0, m) = resolved(0, m);
-  }
-  const std::vector<ComplexMatrix> upper = UpperLayerMatrices(link);
-  const double max_mag = MaxWeightMagnitude(weights);
-  Check(max_mag > 0.0, "all-zero weight matrix");
-  const double scale = options.target_fraction *
-                       Reachable(steering, options.solver.atom_mask) *
-                       UpperGainProduct(upper, 0) / max_mag;
-  const sim::Complex env_offset = ResolveTargetOffsets(link, options)[0];
-  obs::Count("mapper.cascade_mappings");
-
-  MappedSchedules result;
-  result.scale = scale;
-  const std::size_t cols = weights.cols();
-  const mts::CascadeOptions cascade{.outer_sweeps =
-                                        options.cascade_outer_sweeps};
-  std::vector<mts::CascadeResult> solved(weights.rows() * cols);
-  obs::DeterministicParallelFor(solved.size(), [&](std::size_t k) {
-    const std::size_t r = k / cols;
-    const std::size_t i = k % cols;
-    const sim::Complex target = scale * weights(r, i) - env_offset;
-    std::vector<mts::CascadeLayerInput> layers;
-    layers.reserve(1 + upper.size());
-    layers.push_back({front, SolverFor(options, warm_from, r, i)});
-    for (std::size_t u = 0; u < upper.size(); ++u) {
-      layers.push_back({upper[u], UpperSolverFor(options, warm_from, r, i, u)});
-    }
-    const sim::Complex targets[] = {target};
-    solved[k] = mts::SolveCascadeMultiTarget(layers, targets, cascade);
-  });
-  double residual_sum = 0.0;
-  std::size_t residual_count = 0;
-  for (std::size_t r = 0; r < weights.rows(); ++r) {
-    sim::MtsSchedule schedule;
-    schedule.reserve(cols);
-    sim::LayerSchedules round_upper(upper.size());
-    for (sim::MtsSchedule& layer : round_upper) layer.reserve(cols);
-    for (std::size_t i = 0; i < cols; ++i) {
-      const sim::Complex target = scale * weights(r, i) - env_offset;
-      mts::CascadeResult& solve = solved[r * cols + i];
-      result.total_sweeps += solve.total_sweeps;
-      schedule.push_back(std::move(solve.codes[0]));
-      for (std::size_t u = 0; u < upper.size(); ++u) {
-        round_upper[u].push_back(std::move(solve.codes[u + 1]));
-      }
-      if (std::abs(target) > 1e-12) {
-        residual_sum += solve.residual / std::abs(target);
-        ++residual_count;
-      }
-    }
-    result.rounds.push_back(std::move(schedule));
-    result.upper_rounds.push_back(std::move(round_upper));
-    result.outputs.push_back({static_cast<int>(r)});
-  }
-  result.warm_started = warm_from != nullptr;
-  result.mean_relative_residual =
-      residual_count > 0 ? residual_sum / static_cast<double>(residual_count)
-                         : 0.0;
-  return result;
-}
-
-MappedSchedules MapCascadeParallelImpl(const ComplexMatrix& weights,
-                                       const sim::OtaLink& link,
-                                       const MappingOptions& options,
-                                       const mts::CachedConfig* warm_from) {
-  const ComplexMatrix steering = ResolveSteering(weights, link, options);
-  const std::size_t width = steering.rows();
-  const std::size_t atoms = steering.cols();
-  const std::vector<ComplexMatrix> upper = UpperLayerMatrices(link);
-  double min_reachable = 0.0;
-  {
-    std::vector<sim::Complex> row(atoms);
-    for (std::size_t o = 0; o < width; ++o) {
-      for (std::size_t m = 0; m < atoms; ++m) row[m] = steering(o, m);
-      const double reach = Reachable(row, options.solver.atom_mask) *
-                           UpperGainProduct(upper, o);
-      min_reachable = (o == 0) ? reach : std::min(min_reachable, reach);
-    }
-  }
-  const double max_mag = MaxWeightMagnitude(weights);
-  Check(max_mag > 0.0, "all-zero weight matrix");
-  const double scale = options.target_fraction * min_reachable /
-                       (max_mag * static_cast<double>(width));
-  const std::vector<sim::Complex> env_offsets =
-      ResolveTargetOffsets(link, options);
-  obs::Count("mapper.cascade_mappings");
-
-  MappedSchedules result;
-  result.scale = scale;
-  const std::size_t classes = weights.rows();
-  const std::size_t num_rounds = (classes + width - 1) / width;
-  double residual_sum = 0.0;
-  std::size_t residual_count = 0;
-
-  std::vector<std::vector<int>> round_outputs(num_rounds);
-  for (std::size_t round = 0; round < num_rounds; ++round) {
-    round_outputs[round].assign(width, -1);
-    for (std::size_t o = 0; o < width; ++o) {
-      const std::size_t cls = round * width + o;
-      if (cls < classes) round_outputs[round][o] = static_cast<int>(cls);
-    }
-  }
-
-  const std::size_t cols = weights.cols();
-  auto targets_for = [&](std::size_t round, std::size_t i) {
-    std::vector<sim::Complex> targets(width);
-    for (std::size_t o = 0; o < width; ++o) {
-      const int cls = round_outputs[round][o];
-      targets[o] = cls >= 0
-                       ? scale * weights(static_cast<std::size_t>(cls), i) -
-                             env_offsets[o]
-                       : sim::Complex{0.0, 0.0};
-    }
-    return targets;
-  };
-
   const mts::CascadeOptions cascade{.outer_sweeps =
                                         options.cascade_outer_sweeps};
   std::vector<mts::CascadeResult> solved(num_rounds * cols);
   obs::DeterministicParallelFor(solved.size(), [&](std::size_t k) {
     const std::size_t round = k / cols;
     const std::size_t i = k % cols;
-    std::vector<mts::CascadeLayerInput> layers;
-    layers.reserve(1 + upper.size());
-    layers.push_back({steering, SolverFor(options, warm_from, round, i)});
-    for (std::size_t u = 0; u < upper.size(); ++u) {
-      layers.push_back(
-          {upper[u], UpperSolverFor(options, warm_from, round, i, u)});
-    }
-    solved[k] =
-        mts::SolveCascadeMultiTarget(layers, targets_for(round, i), cascade);
+    solved[k] = mts::SolveCascadeMultiTarget(
+        CascadeLayers(steering, upper, options, warm_from, round, i),
+        targets_for(round, i), cascade);
   });
 
   for (std::size_t round = 0; round < num_rounds; ++round) {
@@ -500,7 +355,7 @@ MappedSchedules MapCascadeParallelImpl(const ComplexMatrix& weights,
       }
     }
     result.rounds.push_back(std::move(schedule));
-    result.upper_rounds.push_back(std::move(round_upper));
+    if (!upper.empty()) result.upper_rounds.push_back(std::move(round_upper));
     result.outputs.push_back(std::move(round_outputs[round]));
   }
   result.mean_relative_residual =
@@ -513,11 +368,6 @@ MappedSchedules MapCascadeParallelImpl(const ComplexMatrix& weights,
 MappedSchedules Solve(MappingScheme scheme, const ComplexMatrix& weights,
                       const sim::OtaLink& link, const MappingOptions& options,
                       const mts::CachedConfig* warm_from) {
-  if (link.num_layers() > 1) {
-    return scheme == MappingScheme::kSequential
-               ? MapCascadeSequentialImpl(weights, link, options, warm_from)
-               : MapCascadeParallelImpl(weights, link, options, warm_from);
-  }
   return scheme == MappingScheme::kSequential
              ? MapSequentialImpl(weights, link, options, warm_from)
              : MapParallelImpl(weights, link, options, warm_from);

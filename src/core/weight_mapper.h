@@ -79,10 +79,10 @@ struct MappingOptions {
   /// Early-exit threshold applied to warm-started solves only (see
   /// mts::SolveOptions::min_sweep_improvement). Also part of the key.
   double warm_start_min_improvement = 1e-3;
-  /// Cascade (multi-layer link) mappings only: alternating block-
-  /// coordinate sweeps per (round, symbol) cascade solve (see
-  /// mts::CascadeOptions). Ignored — and excluded from the cache key —
-  /// on depth-1 links, so single-surface keys stay byte-stable.
+  /// Alternating block-coordinate sweeps per (round, symbol) cascade
+  /// solve (see mts::CascadeOptions); must be positive. Only links with
+  /// upper layers alternate, so depth-1 mappings — and their cache keys,
+  /// which leave it out — do not depend on it.
   int cascade_outer_sweeps = 2;
 };
 
@@ -97,7 +97,7 @@ struct MappedSchedules {
   /// Cascade (depth K > 1) links only: upper_rounds[r][l-1][i] is the
   /// configuration upper layer l holds during symbol i of round r,
   /// solved jointly with rounds[r][i] by the alternating cascade solver.
-  /// Empty for single-surface links (the legacy schedule shape).
+  /// Empty on depth-1 links.
   std::vector<sim::LayerSchedules> upper_rounds;
   /// Common scale applied to all weights.
   double scale = 0.0;

@@ -262,40 +262,6 @@ SolveResult SolveMultiTarget(const ComplexMatrix& steering,
   return result;
 }
 
-Result<SolveResult> TrySolveSingleTarget(std::span<const Complex> steering,
-                                         Complex target,
-                                         const SolveOptions& options) {
-  if (steering.empty()) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "solver requires at least one atom"};
-  }
-  if (Result<void> valid = ValidateSolveOptions(options, steering.size());
-      !valid.ok()) {
-    return valid.error();
-  }
-  return SolveSingleTarget(steering, target, options);
-}
-
-Result<SolveResult> TrySolveMultiTarget(const ComplexMatrix& steering,
-                                        std::span<const Complex> targets,
-                                        const SolveOptions& options) {
-  if (steering.rows() == 0 || steering.cols() == 0) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "solver requires targets and atoms"};
-  }
-  if (targets.size() != steering.rows()) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "target count " + std::to_string(targets.size()) +
-                     " does not match steering rows " +
-                     std::to_string(steering.rows())};
-  }
-  if (Result<void> valid = ValidateSolveOptions(options, steering.cols());
-      !valid.ok()) {
-    return valid.error();
-  }
-  return SolveMultiTarget(steering, targets, options);
-}
-
 namespace {
 
 // Phased sums of a layer's own (unscaled) steering rows under `codes`,
@@ -346,7 +312,7 @@ CascadeResult SolveCascadeMultiTarget(std::span<const CascadeLayerInput> layers,
   }
 
   CascadeResult result;
-  // Depth 1 is the legacy single-surface solve, bit for bit: same inner
+  // Depth 1 is the single-panel solve, bit for bit: same inner
   // call, same counters, no cascade bookkeeping.
   if (layers.size() == 1) {
     SolveResult inner =
@@ -431,41 +397,6 @@ CascadeResult SolveCascadeMultiTarget(std::span<const CascadeLayerInput> layers,
   }
   result.residual = std::sqrt(err);
   return result;
-}
-
-Result<CascadeResult> TrySolveCascadeMultiTarget(
-    std::span<const CascadeLayerInput> layers, std::span<const Complex> targets,
-    const CascadeOptions& cascade) {
-  if (layers.empty()) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "cascade solve requires at least one layer"};
-  }
-  if (cascade.outer_sweeps <= 0) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "cascade outer_sweeps must be positive, got " +
-                     std::to_string(cascade.outer_sweeps)};
-  }
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const CascadeLayerInput& layer = layers[l];
-    if (layer.steering.rows() == 0 || layer.steering.cols() == 0) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "cascade layer " + std::to_string(l) +
-                       " requires targets and atoms"};
-    }
-    if (layer.steering.rows() != targets.size()) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "cascade layer " + std::to_string(l) + " has " +
-                       std::to_string(layer.steering.rows()) +
-                       " rows for " + std::to_string(targets.size()) +
-                       " targets"};
-    }
-    if (Result<void> valid =
-            ValidateSolveOptions(layer.options, layer.steering.cols());
-        !valid.ok()) {
-      return valid.error();
-    }
-  }
-  return SolveCascadeMultiTarget(layers, targets, cascade);
 }
 
 }  // namespace metaai::mts

@@ -74,7 +74,7 @@ Result<void> ValidateSolveOptions(const SolveOptions& options,
 
 /// Single-target solve: min over codes of |sum_m steering[m] e^{j phi_m}
 /// - target|. `steering` has one phasor per atom. Throws CheckError on
-/// invalid options (see TrySolveSingleTarget for the typed-error form).
+/// invalid options (ValidateSolveOptions reports them as typed errors).
 SolveResult SolveSingleTarget(std::span<const Complex> steering,
                               Complex target, const SolveOptions& options = {});
 
@@ -84,15 +84,6 @@ SolveResult SolveSingleTarget(std::span<const Complex> steering,
 SolveResult SolveMultiTarget(const ComplexMatrix& steering,
                              std::span<const Complex> targets,
                              const SolveOptions& options = {});
-
-/// Result-returning forms: user-supplied options/shapes come back as
-/// typed errors instead of exceptions.
-Result<SolveResult> TrySolveSingleTarget(std::span<const Complex> steering,
-                                         Complex target,
-                                         const SolveOptions& options = {});
-Result<SolveResult> TrySolveMultiTarget(const ComplexMatrix& steering,
-                                        std::span<const Complex> targets,
-                                        const SolveOptions& options = {});
 
 /// Largest |target| magnitude reliably reachable with M atoms of 2-bit
 /// phase: aligning every atom to the nearest of 4 states loses the
@@ -140,13 +131,9 @@ struct CascadeResult {
 /// layers' current sums, warm-started from that layer's current codes.
 /// A single-layer input delegates to SolveMultiTarget unchanged (same
 /// codes, sums and counters, bit for bit). Throws CheckError on invalid
-/// shapes/options; see TrySolveCascadeMultiTarget for typed errors.
+/// shapes/options.
 CascadeResult SolveCascadeMultiTarget(std::span<const CascadeLayerInput> layers,
                                       std::span<const Complex> targets,
                                       const CascadeOptions& cascade = {});
-
-Result<CascadeResult> TrySolveCascadeMultiTarget(
-    std::span<const CascadeLayerInput> layers, std::span<const Complex> targets,
-    const CascadeOptions& cascade = {});
 
 }  // namespace metaai::mts

@@ -18,10 +18,12 @@
 // 1.0 contributes ~unity and gains above 1 model the aperture/focusing
 // gain an extra surface adds to the path budget.
 //
-// A depth() == 1 graph is the legacy single-surface pipeline, bit for bit:
-// no upper factor is ever computed, so every downstream consumer
-// (OtaLink, MapWeights, Deployment, serve::Runtime) reproduces the
-// single-panel numbers exactly.
+// A LayerGraph is the only way to describe the propagation path to the
+// link, mapper, deployment, scheduler and serving layers. A single panel
+// is the depth() == 1 graph: no upper factor is ever computed, so it
+// reproduces the paper's one-panel numbers exactly (golden depth-1 tests
+// pin them). Consumers keep a reference to the graph, so it must outlive
+// them; their constructors reject a temporary graph at compile time.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +46,11 @@ struct PhysicalLayerSpec {
 /// front (schedule-driven) panel; higher indices sit further upstream.
 class LayerGraph {
  public:
-  /// Wraps a single surface as a depth-1 graph (the legacy pipeline).
+  /// Wraps a single surface as a depth-1 graph.
   explicit LayerGraph(const Metasurface& front);
 
-  /// Named adapter for the same wrap: the canonical way to hand a bare
-  /// panel to graph-first APIs (serve::Runtime, fleet::Fleet). A
-  /// FromSurface graph serves bit-for-bit like the panel it wraps.
+  /// Named adapter for the same wrap, for call sites that hand a bare
+  /// panel straight to a graph-owning API (serve::Runtime, fleet::Fleet).
   static LayerGraph FromSurface(const Metasurface& front) {
     return LayerGraph(front);
   }

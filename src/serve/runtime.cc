@@ -270,13 +270,6 @@ Runtime::Runtime(mts::LayerGraph graph, std::vector<ClientSpec> clients,
   Init(std::move(clients));
 }
 
-// The deprecated shim may be defined (and may delegate) without
-// tripping -Wdeprecated-declarations; only *callers* see the warning.
-Runtime::Runtime(const mts::Metasurface& surface,
-                 std::vector<ClientSpec> clients, RuntimeOptions options)
-    : Runtime(mts::LayerGraph::FromSurface(surface), std::move(clients),
-              std::move(options)) {}
-
 Result<Runtime> Runtime::TryCreate(mts::LayerGraph graph,
                                    std::vector<ClientSpec> clients,
                                    RuntimeOptions options) {

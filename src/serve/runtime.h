@@ -11,9 +11,9 @@
 // Slot allocation is fair round-robin (core::AllocateSlots), so a
 // backlogged client cannot starve the others.
 //
-// Construction is graph-first: the runtime deploys every client over an
-// mts::LayerGraph (use mts::LayerGraph::FromSurface for a bare panel —
-// a depth-1 graph serves bit-for-bit like the single-surface pipeline).
+// Construction takes an mts::LayerGraph: the runtime deploys every
+// client over it (use mts::LayerGraph::FromSurface for a bare panel,
+// which is the depth-1 graph).
 // Operator misconfiguration (empty client list, non-positive queue or
 // frame budgets) is a typed kInvalidArgument error through TryCreate;
 // the plain constructor keeps the legacy CheckError-throwing behavior.
@@ -124,19 +124,11 @@ class Runtime {
   /// described by `graph` (through `options.cache` when set). The
   /// runtime owns the graph — the deployments' links borrow it, and a
   /// long-lived server must not dangle if the caller's copy goes out of
-  /// scope. A depth-1 graph (mts::LayerGraph::FromSurface) serves
-  /// bit-for-bit like the pre-cascade single-surface pipeline. Throws
-  /// CheckError on empty client lists or non-positive queue/budget
-  /// options — use TryCreate for the typed-error form.
+  /// scope. A bare panel is the depth-1 graph
+  /// (mts::LayerGraph::FromSurface). Throws CheckError on empty client
+  /// lists or non-positive queue/budget options — use TryCreate for the
+  /// typed-error form.
   Runtime(mts::LayerGraph graph, std::vector<ClientSpec> clients,
-          RuntimeOptions options = {});
-
-  /// Deprecated single-surface shim (one PR): wraps the panel with
-  /// mts::LayerGraph::FromSurface and delegates to the graph entry
-  /// point, bit for bit.
-  [[deprecated(
-      "construct from mts::LayerGraph::FromSurface(surface) instead")]]
-  Runtime(const mts::Metasurface& surface, std::vector<ClientSpec> clients,
           RuntimeOptions options = {});
 
   /// Typed-error construction: rejects empty client lists, non-positive

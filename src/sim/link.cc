@@ -40,8 +40,8 @@ double TxRxDistance(const mts::LinkGeometry& geometry) {
   return rf::Distance(tx, rx);
 }
 
-OtaLink::OtaLink(const mts::Metasurface& surface, OtaLinkConfig config)
-    : surface_(surface), config_(std::move(config)) {
+OtaLink::OtaLink(const mts::LayerGraph& graph, OtaLinkConfig config)
+    : graph_(graph), config_(std::move(config)) {
   Check(!config_.observations.empty(), "link needs at least one observation");
   Check(config_.oversample >= 2 && config_.oversample % 2 == 0,
         "oversample must be even and >= 2");
@@ -79,7 +79,8 @@ OtaLink::OtaLink(const mts::Metasurface& surface, OtaLinkConfig config)
   // Static per-atom device phase errors (hardware noise N_d): drawn once
   // per link; identical for every observation since they are properties
   // of the physical atoms.
-  std::vector<Complex> device_error(surface_.num_atoms(), Complex{1.0, 0.0});
+  const mts::Metasurface& front = graph_.front();
+  std::vector<Complex> device_error(front.num_atoms(), Complex{1.0, 0.0});
   if (config_.mts_phase_noise_std > 0.0) {
     Rng device_rng(config_.channel_seed ^ 0x5EED5EEDull);
     for (Complex& e : device_error) {
@@ -108,7 +109,7 @@ OtaLink::OtaLink(const mts::Metasurface& surface, OtaLinkConfig config)
     }
     const mts::LinkGeometry& geometry =
         obs.geometry.has_value() ? *obs.geometry : config_.geometry;
-    state.steering = surface_.SteeringVector(geometry, obs.freq_offset_hz);
+    state.steering = front.SteeringVector(geometry, obs.freq_offset_hz);
     if (obs.harmonic != 0) {
       // Intra-symbol time-coding harmonic: distinct per-atom phase ramp
       // (see Observation::harmonic).
@@ -136,7 +137,7 @@ OtaLink::OtaLink(const mts::Metasurface& surface, OtaLinkConfig config)
       }
     }
     // Antennas point at the panel: boresight gains on both MTS legs.
-    state.mts_amplitude = surface_.PathAmplitude(geometry) *
+    state.mts_amplitude = front.PathAmplitude(geometry) *
                           std::sqrt(tx_ant.Gain(0.0) * rx_ant.Gain(0.0)) *
                           wall_amp;
     state.tx_steer_re.resize(state.tx_steering.size());
@@ -147,20 +148,15 @@ OtaLink::OtaLink(const mts::Metasurface& surface, OtaLinkConfig config)
     }
     observations_.push_back(std::move(state));
   }
-}
-
-OtaLink::OtaLink(const mts::LayerGraph& graph, OtaLinkConfig config)
-    : OtaLink(graph.front(), std::move(config)) {
-  graph_ = &graph;
   BuildUpperStates();
 }
 
 void OtaLink::BuildUpperStates() {
-  const std::size_t depth = graph_->depth();
+  const std::size_t depth = graph_.depth();
   if (depth <= 1) return;
   upper_.resize(depth - 1);
   for (std::size_t l = 1; l < depth; ++l) {
-    const mts::Metasurface& layer = graph_->layer(l);
+    const mts::Metasurface& layer = graph_.layer(l);
     std::vector<UpperLayerState>& states = upper_[l - 1];
     states.reserve(config_.observations.size());
     for (const Observation& obs : config_.observations) {
@@ -177,7 +173,7 @@ void OtaLink::BuildUpperStates() {
             "upper layer steering must be non-degenerate");
       // Normalizing coupling: a fully focused layer at coupling_gain 1
       // contributes ~unit magnitude (see mts/layer_graph.h).
-      state.coupling = graph_->coupling_gain(l) / (0.9 * magnitude_sum);
+      state.coupling = graph_.coupling_gain(l) / (0.9 * magnitude_sum);
       state.steer_re.resize(state.steering.size());
       state.steer_im.resize(state.steering.size());
       for (std::size_t m = 0; m < state.steering.size(); ++m) {
@@ -187,10 +183,6 @@ void OtaLink::BuildUpperStates() {
       states.push_back(std::move(state));
     }
   }
-}
-
-std::size_t OtaLink::num_layers() const {
-  return graph_ != nullptr ? graph_->depth() : 1;
 }
 
 std::vector<Complex> OtaLink::UpperSteeringVector(std::size_t layer,
@@ -251,7 +243,7 @@ const LayerSchedules* OtaLink::UpperKey(const LayerSchedules& upper) const {
 ComplexMatrix OtaLink::BaseResponses(const MtsSchedule& schedule) const {
   const std::size_t num_obs = observations_.size();
   const std::size_t num_symbols = schedule.size();
-  const std::size_t atoms = surface_.num_atoms();
+  const std::size_t atoms = graph_.front().num_atoms();
   ComplexMatrix base(num_obs, num_symbols);
   for (std::size_t o = 0; o < num_obs; ++o) {
     const ObservationState& state = observations_[o];
@@ -333,22 +325,12 @@ double OtaLink::NominalSnrDb() const {
   return 10.0 * std::log10(signal_amp * signal_amp / noise_power_);
 }
 
-ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
-                                        const MtsSchedule& schedule,
-                                        double mts_clock_offset_us,
-                                        Rng& rng) const {
-  Check(num_layers() == 1,
-        "multi-layer link: use the upper-schedule TransmitSequence overload");
-  return TransmitSequence(data, schedule, LayerSchedules{}, mts_clock_offset_us,
-                          rng);
-}
-
 void OtaLink::CheckSchedules(const MtsSchedule& schedule,
                              const LayerSchedules& upper,
                              std::size_t num_symbols) const {
   Check(num_symbols > 0, "empty transmission");
   Check(schedule.size() == num_symbols, "schedule length mismatch");
-  const std::size_t atoms = surface_.num_atoms();
+  const std::size_t atoms = graph_.front().num_atoms();
   for (const auto& codes : schedule) {
     if (codes.size() != atoms) {
       Check(false, "schedule config size mismatch: " +
@@ -360,7 +342,7 @@ void OtaLink::CheckSchedules(const MtsSchedule& schedule,
         "upper schedule count must match num_layers() - 1");
   for (std::size_t u = 0; u < upper.size(); ++u) {
     Check(upper[u].size() == num_symbols, "upper schedule length mismatch");
-    const std::size_t layer_atoms = graph_->layer(u + 1).num_atoms();
+    const std::size_t layer_atoms = graph_.layer(u + 1).num_atoms();
     for (const auto& codes : upper[u]) {
       Check(codes.size() == layer_atoms,
             "upper schedule config size mismatch");
@@ -419,7 +401,7 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
     ApplyUpperFactors(upper, base, nullptr);
     return Receive(data, base, nullptr, mts_clock_offset_us, rng);
   }
-  const std::size_t atoms = surface_.num_atoms();
+  const std::size_t atoms = graph_.front().num_atoms();
   Check(faults->num_atoms() == atoms,
         "fault injector atom count must match the surface");
   const bool use_flip_matrix = config_.multipath_cancellation;

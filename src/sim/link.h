@@ -113,25 +113,24 @@ using LayerSchedules = std::vector<MtsSchedule>;
 
 class OtaLink {
  public:
-  /// Draws the environment realization from config.channel_seed.
-  OtaLink(const mts::Metasurface& surface, OtaLinkConfig config);
-
-  /// Cascade link over a layer graph; `graph` must outlive the link (the
-  /// same lifetime contract the single-surface constructor places on its
-  /// surface). Layer 0 is the schedule-driven front panel: device phase
-  /// errors, faults and the mid-symbol pi flip act on it alone. Layers
-  /// 1..K-1 multiply every observation's response by the composed factor
+  /// Link over a layer graph; `graph` must outlive the link (a temporary
+  /// graph is rejected at compile time). Draws the environment
+  /// realization from config.channel_seed. Layer 0 is the
+  /// schedule-driven front panel: device phase errors, faults and the
+  /// mid-symbol pi flip act on it alone. Layers 1..K-1 multiply every
+  /// observation's response by the composed factor
   /// U(o, i) = prod_l c_l(o) * sum_m s_l(o, m) e^{j phi_l[m, i]} where
   /// s_l is layer l's own steering toward the observation's geometry and
-  /// c_l(o) the normalizing coupling (see mts/layer_graph.h). A depth-1
-  /// graph behaves bit-for-bit like the single-surface constructor.
+  /// c_l(o) the normalizing coupling (see mts/layer_graph.h). A single
+  /// panel is the depth-1 graph: no upper factor is ever computed.
   OtaLink(const mts::LayerGraph& graph, OtaLinkConfig config);
+  OtaLink(const mts::LayerGraph&& graph, OtaLinkConfig config) = delete;
 
   const OtaLinkConfig& config() const { return config_; }
   std::size_t num_observations() const { return config_.observations.size(); }
 
-  /// Number of surfaces in the propagation path (1 for legacy links).
-  std::size_t num_layers() const;
+  /// Number of surfaces in the propagation path.
+  std::size_t num_layers() const { return graph_.depth(); }
 
   /// Prepares a response plan for `schedule` (with `upper`, the cascade's
   /// upper-layer schedules; empty on depth-1 links): the composed
@@ -141,7 +140,7 @@ class OtaLink {
   /// skip straight to the receive loop, bit for bit and draw for draw
   /// identical to an unprepared call.
   ///
-  /// Lifetime contract (the one the surface/graph references carry): the
+  /// Lifetime contract (the one the graph reference carries): the
   /// caller keeps `schedule` and `upper` alive and unchanged while this
   /// link may be asked to transmit them; preparing the same objects again
   /// replaces the plan. A copy of the link starts with no plans, so it
@@ -156,21 +155,15 @@ class OtaLink {
   void Prepare(const MtsSchedule& schedule, const LayerSchedules& upper);
 
   /// Plays `schedule` against `data` and returns the integrated per-symbol
-  /// measurements z(o, i) for every observation o. `mts_clock_offset_us`
-  /// slides the MTS schedule relative to the data clock (positive = MTS
-  /// late). Noise is drawn from `rng`. Requires num_layers() == 1; deep
-  /// links must supply the upper-layer schedules via the overload below.
-  ComplexMatrix TransmitSequence(std::span<const Complex> data,
-                                 const MtsSchedule& schedule,
-                                 double mts_clock_offset_us, Rng& rng) const;
-
-  /// Cascade transmission: `upper[l-1][i]` is the configuration layer l
-  /// holds during data symbol i (upper layers switch per symbol like the
-  /// front panel but never flip at mid-symbol). `upper` must hold
-  /// num_layers() - 1 schedules; pass an empty LayerSchedules on a
-  /// depth-1 link for the legacy behavior. A prepared (schedule, upper)
-  /// pair answers from its plan (see Prepare); the upper object is part
-  /// of the key on cascade links only.
+  /// measurements z(o, i) for every observation o. `upper[l-1][i]` is the
+  /// configuration upper layer l holds during data symbol i (upper layers
+  /// switch per symbol like the front panel but never flip at
+  /// mid-symbol); `upper` must hold num_layers() - 1 schedules, so a
+  /// depth-1 link takes an empty LayerSchedules. `mts_clock_offset_us`
+  /// slides the MTS schedules relative to the data clock (positive = MTS
+  /// late). Noise is drawn from `rng`. A prepared (schedule, upper) pair
+  /// answers from its plan (see Prepare); the upper object is part of the
+  /// key on cascade links only.
   ComplexMatrix TransmitSequence(std::span<const Complex> data,
                                  const MtsSchedule& schedule,
                                  const LayerSchedules& upper,
@@ -305,9 +298,7 @@ class OtaLink {
                         const ComplexMatrix* base_flip,
                         double mts_clock_offset_us, Rng& rng) const;
 
-  const mts::Metasurface& surface_;
-  /// Non-null for cascade links; the graph outlives the link.
-  const mts::LayerGraph* graph_ = nullptr;
+  const mts::LayerGraph& graph_;
   OtaLinkConfig config_;
   std::vector<ObservationState> observations_;
   /// upper_[l-1][o]: layer l observed at observation o (empty when

@@ -10,11 +10,16 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/controller_service.h"
 #include "core/deployment.h"
+#include "core/fault_recovery.h"
+#include "core/recalibration.h"
 #include "core/scheduler.h"
 #include "core/serialization.h"
 #include "core/training.h"
@@ -23,6 +28,8 @@
 #include "mts/config_cache.h"
 #include "mts/layer_graph.h"
 #include "rf/geometry.h"
+#include "simd/dispatch.h"
+#include "testutil/fnv1a.h"
 
 namespace metaai::core {
 namespace {
@@ -57,42 +64,104 @@ std::vector<mts::PhysicalLayerSpec> CascadeSpecs(std::size_t depth) {
   return specs;
 }
 
-TEST(CascadePipelineTest, DepthOneMappingMatchesSurfacePathBitwise) {
-  const TrainedModel model = TinyModel(3);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const mts::LayerGraph graph(surface);
-  const sim::OtaLink flat(surface, DefaultLink());
-  const sim::OtaLink wrapped(graph, DefaultLink());
+// Each API checked below keeps a reference to its graph, so a temporary
+// graph would dangle: passing one must not compile.
+template <typename Graph>
+concept CanRecoverOver =
+    requires(const TrainedModel& model, const FaultDiagnosis& diagnosis) {
+      RecoverFromFaults(model, std::declval<Graph>(), sim::OtaLinkConfig{},
+                        DeploymentOptions{}, diagnosis);
+    };
 
-  const MappingOptions options{.scheme = MappingScheme::kSequential};
-  const auto a = MapWeights(model.network.weights(), flat, options);
-  const auto b = MapWeights(model.network.weights(), wrapped, options);
-  EXPECT_TRUE(b.upper_rounds.empty());
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.scale, b.scale);
-  EXPECT_EQ(a.mean_relative_residual, b.mean_relative_residual);
-  // Cache keys must also agree: a depth-1 graph is the legacy pipeline.
-  EXPECT_EQ(MappingCacheKey(model.network.weights(), flat, options),
-            MappingCacheKey(model.network.weights(), wrapped, options));
+template <typename Graph>
+concept CanRecalibrateOver =
+    requires(const TrainedModel& model, const sim::OtaLinkConfig& link) {
+      RecalibrateForReceiver(model, std::declval<Graph>(), link, link);
+    };
+
+TEST(CascadePipelineTest, TemporaryGraphIsRejectedAtCompileTime) {
+  using Graph = const mts::LayerGraph&;
+  using Temporary = mts::LayerGraph;
+  static_assert(std::is_constructible_v<Deployment, const TrainedModel&,
+                                        Graph, sim::OtaLinkConfig>);
+  static_assert(!std::is_constructible_v<Deployment, const TrainedModel&,
+                                         Temporary, sim::OtaLinkConfig>);
+  static_assert(std::is_constructible_v<SharedSurfaceScheduler, Graph,
+                                        std::vector<DeviceSpec>>);
+  static_assert(!std::is_constructible_v<SharedSurfaceScheduler, Temporary,
+                                         std::vector<DeviceSpec>>);
+  static_assert(std::is_constructible_v<ControllerService, TrainedModel,
+                                        Graph, sim::OtaLinkConfig>);
+  static_assert(!std::is_constructible_v<ControllerService, TrainedModel,
+                                         Temporary, sim::OtaLinkConfig>);
+  static_assert(CanRecoverOver<Graph>);
+  static_assert(!CanRecoverOver<Temporary>);
+  static_assert(CanRecalibrateOver<Graph>);
+  static_assert(!CanRecalibrateOver<Temporary>);
 }
 
-TEST(CascadePipelineTest, DepthOneDeploymentMatchesSurfacePathBitwise) {
-  const TrainedModel model = TinyModel(5);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const mts::LayerGraph graph(surface);
-  const Deployment flat(model, surface, DefaultLink());
-  const Deployment wrapped(model, graph, DefaultLink());
+// Digest of everything a mapping result carries plus its cache key: the
+// depth-1 golden tests below pin these to constants.
+std::uint64_t MappingDigest(const MappedSchedules& mapped,
+                            const std::string& cache_key) {
+  testutil::Fnv1a digest;
+  digest.Add(mapped.rounds);
+  digest.Add(mapped.outputs);
+  digest.Add(mapped.scale);
+  digest.Add(mapped.mean_relative_residual);
+  digest.Add(mapped.total_sweeps);
+  digest.Add(cache_key);
+  return digest.value();
+}
 
-  const std::vector<double> pixels(model.input_dim(), 0.4);
-  Rng rng_a(17);
-  Rng rng_b(17);
-  const auto scores_a = flat.ClassScores(pixels, 0.1, rng_a);
-  const auto scores_b = wrapped.ClassScores(pixels, 0.1, rng_b);
-  ASSERT_EQ(scores_a.size(), scores_b.size());
-  for (std::size_t c = 0; c < scores_a.size(); ++c) {
-    EXPECT_EQ(scores_a[c], scores_b[c]) << "class " << c;
+// A single panel is the K=1 cascade: the depth-1 mapping and deployment
+// are pinned to digests so they stay bit for bit what the single-surface
+// pipeline always produced. Scalar kernels throughout, since the AVX2
+// PhasedSum may reassociate the sum.
+TEST(CascadePipelineTest, DepthOneCascadeSequentialMappingMatchesGolden) {
+  const simd::ScopedLevel scalar(simd::Level::kScalar);
+  const TrainedModel model = TinyModel(3);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLink());
+  const MappingOptions options{.scheme = MappingScheme::kSequential};
+  const ComplexMatrix& weights = model.network.weights();
+  const MappedSchedules mapped = MapWeights(weights, link, options);
+  EXPECT_TRUE(mapped.upper_rounds.empty());
+  EXPECT_EQ(MappingDigest(mapped, MappingCacheKey(weights, link, options)),
+            0x2d228bf93bc79b1eull);
+}
+
+TEST(CascadePipelineTest, DepthOneCascadeParallelMappingMatchesGolden) {
+  const simd::ScopedLevel scalar(simd::Level::kScalar);
+  const TrainedModel model = TinyModel(3);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLinkConfig config = DefaultLink();
+  config.observations = BuildObservations(
+      config, model.num_classes(),
+      {.mode = ParallelismMode::kSubcarrier, .parallel_width = 4});
+  const sim::OtaLink link(graph, config);
+  ASSERT_EQ(link.num_observations(), 4u);
+  const MappingOptions options{.scheme = MappingScheme::kParallel};
+  const ComplexMatrix& weights = model.network.weights();
+  const MappedSchedules mapped = MapWeights(weights, link, options);
+  EXPECT_TRUE(mapped.upper_rounds.empty());
+  EXPECT_EQ(MappingDigest(mapped, MappingCacheKey(weights, link, options)),
+            0xed4524c3de5ec934ull);
+}
+
+TEST(CascadePipelineTest, DepthOneCascadeDeploymentMatchesGolden) {
+  const simd::ScopedLevel scalar(simd::Level::kScalar);
+  const TrainedModel model = TinyModel(5);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const Deployment deployment(model, graph, DefaultLink());
+  testutil::Fnv1a digest;
+  for (const std::uint64_t seed : {17u, 18u, 19u}) {
+    Rng rng(seed);
+    std::vector<double> pixels(model.input_dim());
+    for (double& p : pixels) p = rng.Uniform();
+    digest.Add(deployment.ClassScores(pixels, 0.1, rng));
   }
+  EXPECT_EQ(digest.value(), 0xd7c3c0151a6e90a8ull);
 }
 
 TEST(CascadePipelineTest, CascadeMappingSolvesUpperSchedules) {
@@ -112,8 +181,9 @@ TEST(CascadePipelineTest, CascadeMappingSolvesUpperSchedules) {
   }
   EXPECT_GT(mapped.scale, 0.0);
   EXPECT_LT(mapped.mean_relative_residual, 0.5);
-  // Cascade keys diverge from the single-surface key of the same weights.
-  const sim::OtaLink flat(graph.front(), DefaultLink());
+  // Cascade keys diverge from the single-panel key of the same weights.
+  const mts::LayerGraph panel(graph.front());
+  const sim::OtaLink flat(panel, DefaultLink());
   EXPECT_NE(MappingCacheKey(model.network.weights(), link, options),
             MappingCacheKey(model.network.weights(), flat, options));
 }
@@ -166,9 +236,9 @@ TEST(CascadePipelineTest, NonSquarePanelMapsAndDeploys) {
   mts::MetasurfaceSpec spec;
   spec.rows = 8;
   spec.cols = 12;
-  const mts::Metasurface surface{spec};
-  ASSERT_EQ(surface.num_atoms(), 96u);
-  const Deployment deployment(model, surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{spec});
+  ASSERT_EQ(graph.front().num_atoms(), 96u);
+  const Deployment deployment(model, graph, DefaultLink());
 
   const std::vector<double> pixels(model.input_dim(), 0.5);
   Rng rng(29);
@@ -183,8 +253,9 @@ TEST(CascadePipelineTest, NonSquarePanelMapsAndDeploys) {
   std::filesystem::create_directories(dir);
   const auto path = dir / "patterns96.txt";
   ASSERT_TRUE(
-      TrySavePatterns(deployment.schedules(), surface.num_atoms(), path).ok());
-  const auto loaded = TryLoadPatterns(path, surface.num_atoms()).value();
+      TrySavePatterns(deployment.schedules(), graph.front().num_atoms(), path)
+          .ok());
+  const auto loaded = TryLoadPatterns(path, graph.front().num_atoms()).value();
   EXPECT_EQ(loaded.rounds, deployment.schedules().rounds);
   std::filesystem::remove_all(dir);
 }
@@ -197,15 +268,15 @@ TEST(CascadePipelineTest, SchedulerReconcilesControllerToPanelShape) {
   mts::MetasurfaceSpec spec;
   spec.rows = 8;
   spec.cols = 12;
-  const mts::Metasurface surface{spec};
+  const mts::LayerGraph graph(mts::Metasurface{spec});
   std::vector<DeviceSpec> devices;
   devices.push_back({"dev0", TinyModel(15), DefaultLink(), {}});
-  const SharedSurfaceScheduler scheduler(surface, std::move(devices), {});
+  const SharedSurfaceScheduler scheduler(graph, std::move(devices), {});
   EXPECT_EQ(scheduler.num_devices(), 1u);
   EXPECT_EQ(scheduler.config().controller.num_atoms, 96u);
   EXPECT_EQ(96u % scheduler.config().controller.num_groups, 0u);
   // The 256-atom default is untouched for the prototype panel.
-  const mts::Metasurface proto{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph proto(mts::Metasurface{mts::MetasurfaceSpec{}});
   std::vector<DeviceSpec> proto_devices;
   proto_devices.push_back({"dev0", TinyModel(15), DefaultLink(), {}});
   const SharedSurfaceScheduler proto_scheduler(proto, std::move(proto_devices),
@@ -304,13 +375,13 @@ TEST_F(CascadeSerializationTest, PatternUpperSchedulesRoundTrip) {
 
 TEST_F(CascadeSerializationTest, LegacyPatternFilesLoadWithoutUpperRounds) {
   const TrainedModel model = TinyModel(25);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, DefaultLink());
   const auto mapped = MapWeights(model.network.weights(), link,
                                  {.scheme = MappingScheme::kSequential});
   const auto path = dir_ / "legacy_patterns.txt";
-  ASSERT_TRUE(TrySavePatterns(mapped, surface.num_atoms(), path).ok());
-  const auto loaded = TryLoadPatterns(path, surface.num_atoms()).value();
+  ASSERT_TRUE(TrySavePatterns(mapped, graph.front().num_atoms(), path).ok());
+  const auto loaded = TryLoadPatterns(path, graph.front().num_atoms()).value();
   EXPECT_TRUE(loaded.upper_rounds.empty());
   EXPECT_EQ(loaded.rounds, mapped.rounds);
 }

@@ -25,8 +25,8 @@ sim::OtaLinkConfig EstimationLink(std::uint64_t seed = 21) {
 }
 
 TEST(ChannelEstimationTest, EstimateMatchesTrueResponse) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, EstimationLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, EstimationLink());
   Rng rng(1);
   const auto estimate = EstimateEnvironment(link, rng, {.num_pilots = 256});
   const auto truth = link.EnvironmentResponse(0);
@@ -37,10 +37,10 @@ TEST(ChannelEstimationTest, EstimateMatchesTrueResponse) {
 }
 
 TEST(ChannelEstimationTest, MorePilotsReduceNoiseError) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig config = EstimationLink();
   config.budget.noise_floor_dbm = -60.0;  // noisy pilots
-  const sim::OtaLink link(surface, config);
+  const sim::OtaLink link(graph, config);
   const auto truth = link.EnvironmentResponse(0);
   double err_few = 0.0;
   double err_many = 0.0;
@@ -60,8 +60,8 @@ TEST(ChannelEstimationTest, MorePilotsReduceNoiseError) {
 TEST(ChannelEstimationTest, EstimateDrivenEqn8MatchesOracle) {
   // The full Eqn 8 loop with the *estimated* environment performs like
   // the oracle-driven mapping in a static environment.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, EstimationLink(33));
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, EstimationLink(33));
   Rng rng(2);
   const auto estimate = EstimateEnvironment(link, rng, {.num_pilots = 256});
   const auto truth = link.EnvironmentResponse(0);
@@ -72,14 +72,14 @@ TEST(ChannelEstimationTest, EstimateDrivenEqn8MatchesOracle) {
 }
 
 TEST(ChannelEstimationTest, ValidatesPreconditions) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig cancelling = EstimationLink();
   cancelling.multipath_cancellation = true;
-  const sim::OtaLink bad_link(surface, cancelling);
+  const sim::OtaLink bad_link(graph, cancelling);
   Rng rng(3);
   EXPECT_THROW(EstimateEnvironment(bad_link, rng), CheckError);
 
-  const sim::OtaLink good_link(surface, EstimationLink());
+  const sim::OtaLink good_link(graph, EstimationLink());
   EXPECT_THROW(EstimateEnvironment(good_link, rng, {.num_pilots = 0}),
                CheckError);
 }

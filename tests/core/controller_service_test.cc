@@ -31,11 +31,11 @@ TrainedModel SmallModel() {
 
 class ControllerServiceTest : public ::testing::Test {
  protected:
-  mts::Metasurface surface_{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph_{mts::Metasurface{mts::MetasurfaceSpec{}}};
 };
 
 TEST_F(ControllerServiceTest, StableRssNeverTriggers) {
-  ControllerService service(SmallModel(), surface_, LinkAtAngle(40.0));
+  ControllerService service(SmallModel(), graph_, LinkAtAngle(40.0));
   const auto truth = LinkAtAngle(40.0);
   for (int i = 0; i < 60; ++i) {
     EXPECT_FALSE(service.OnRssReport(-50.0, truth));
@@ -46,7 +46,7 @@ TEST_F(ControllerServiceTest, StableRssNeverTriggers) {
 }
 
 TEST_F(ControllerServiceTest, SmallFluctuationsAreIgnored) {
-  ControllerService service(SmallModel(), surface_, LinkAtAngle(40.0));
+  ControllerService service(SmallModel(), graph_, LinkAtAngle(40.0));
   const auto truth = LinkAtAngle(40.0);
   Rng rng(1);
   for (int i = 0; i < 80; ++i) {
@@ -56,7 +56,7 @@ TEST_F(ControllerServiceTest, SmallFluctuationsAreIgnored) {
 }
 
 TEST_F(ControllerServiceTest, PersistentDropTriggersRecalibration) {
-  ControllerService service(SmallModel(), surface_, LinkAtAngle(40.0));
+  ControllerService service(SmallModel(), graph_, LinkAtAngle(40.0));
   // Establish the baseline at the calibrated position.
   for (int i = 0; i < 20; ++i) {
     service.OnRssReport(-50.0, LinkAtAngle(40.0));
@@ -80,7 +80,7 @@ TEST_F(ControllerServiceTest, PersistentDropTriggersRecalibration) {
 }
 
 TEST_F(ControllerServiceTest, ReArmsAfterSettling) {
-  ControllerService service(SmallModel(), surface_, LinkAtAngle(40.0));
+  ControllerService service(SmallModel(), graph_, LinkAtAngle(40.0));
   for (int i = 0; i < 20; ++i) service.OnRssReport(-50.0, LinkAtAngle(40.0));
   // First move; once recalibrated the reported RSS recovers.
   const auto moved = LinkAtAngle(25.0);
@@ -102,7 +102,7 @@ TEST_F(ControllerServiceTest, ReArmsAfterSettling) {
 }
 
 TEST_F(ControllerServiceTest, EventsAuditTheLifecycle) {
-  ControllerService service(SmallModel(), surface_, LinkAtAngle(40.0));
+  ControllerService service(SmallModel(), graph_, LinkAtAngle(40.0));
   for (int i = 0; i < 20; ++i) service.OnRssReport(-50.0, LinkAtAngle(40.0));
   for (int i = 0; i < 20; ++i) service.OnRssReport(-62.0, LinkAtAngle(25.0));
   const auto& events = service.events();
@@ -124,7 +124,7 @@ TEST_F(ControllerServiceTest, EventsAuditTheLifecycle) {
 TEST_F(ControllerServiceTest, ValidatesConfig) {
   ControllerServiceConfig bad;
   bad.report_window = 0;
-  EXPECT_THROW(ControllerService(SmallModel(), surface_, LinkAtAngle(40.0),
+  EXPECT_THROW(ControllerService(SmallModel(), graph_, LinkAtAngle(40.0),
                                  bad),
                CheckError);
 }

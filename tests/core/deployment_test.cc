@@ -70,8 +70,8 @@ TEST(DeploymentTest, SequentialOtaAccuracyTracksDigital) {
   const Fixture setup = MakeFixture();
   const double digital = EvaluateDigital(setup.model, setup.dataset.test);
 
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  Deployment deployment(setup.model, surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  Deployment deployment(setup.model, graph, DefaultLink());
   EXPECT_EQ(deployment.RoundsPerInference(), 10u);
 
   Rng rng(13);
@@ -86,18 +86,18 @@ TEST(DeploymentTest, SequentialOtaAccuracyTracksDigital) {
 
 TEST(DeploymentTest, SubcarrierParallelismReducesRoundsWithSmallLoss) {
   const Fixture setup = MakeFixture();
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   DeploymentOptions options;
   options.mode = ParallelismMode::kSubcarrier;
   options.parallel_width = 5;
-  Deployment deployment(setup.model, surface, DefaultLink(), options);
+  Deployment deployment(setup.model, graph, DefaultLink(), options);
   EXPECT_EQ(deployment.RoundsPerInference(), 2u);  // 10 classes / 5
 
   Rng rng(17);
   sim::SyncModel perfect(sim::SyncMode::kCdfa, {.latency_scale = 1e-6});
   const double parallel_acc =
       deployment.EvaluateAccuracy(setup.dataset.test, perfect, rng, 60);
-  Deployment sequential(setup.model, surface, DefaultLink());
+  Deployment sequential(setup.model, graph, DefaultLink());
   Rng rng2(17);
   const double sequential_acc =
       sequential.EvaluateAccuracy(setup.dataset.test, perfect, rng2, 60);
@@ -108,11 +108,11 @@ TEST(DeploymentTest, SubcarrierParallelismReducesRoundsWithSmallLoss) {
 
 TEST(DeploymentTest, AntennaParallelismWorks) {
   const Fixture setup = MakeFixture();
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   DeploymentOptions options;
   options.mode = ParallelismMode::kAntenna;
   options.parallel_width = 5;
-  Deployment deployment(setup.model, surface, DefaultLink(), options);
+  Deployment deployment(setup.model, graph, DefaultLink(), options);
   EXPECT_EQ(deployment.RoundsPerInference(), 2u);
   Rng rng(19);
   sim::SyncModel perfect(sim::SyncMode::kCdfa, {.latency_scale = 1e-6});
@@ -123,8 +123,8 @@ TEST(DeploymentTest, AntennaParallelismWorks) {
 
 TEST(DeploymentTest, LargeSyncErrorWithoutRobustTrainingCollapses) {
   const Fixture setup = MakeFixture();
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  Deployment deployment(setup.model, surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  Deployment deployment(setup.model, graph, DefaultLink());
   Rng rng(23);
   const double good =
       deployment.EvaluateAccuracyAtOffset(setup.dataset.test, 0.0, rng, 60);
@@ -135,8 +135,8 @@ TEST(DeploymentTest, LargeSyncErrorWithoutRobustTrainingCollapses) {
 
 TEST(DeploymentTest, ClassScoresHaveOneEntryPerClass) {
   const Fixture setup = MakeFixture();
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  Deployment deployment(setup.model, surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  Deployment deployment(setup.model, graph, DefaultLink());
   Rng rng(29);
   const auto scores =
       deployment.ClassScores(setup.dataset.test.features[0], 0.0, rng);
@@ -146,8 +146,8 @@ TEST(DeploymentTest, ClassScoresHaveOneEntryPerClass) {
 
 TEST(DeploymentTest, RejectsWrongSampleLength) {
   const Fixture setup = MakeFixture();
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  Deployment deployment(setup.model, surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  Deployment deployment(setup.model, graph, DefaultLink());
   Rng rng(31);
   EXPECT_THROW(deployment.Classify(std::vector<double>(100, 0.5), 0.0, rng),
                CheckError);

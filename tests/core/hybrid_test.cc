@@ -78,7 +78,7 @@ TEST(HybridTest, OverTheAirEvaluationWorks) {
   options.sync_gamma_scale_us = 1.85 * 256.0 / 784.0;
   model.Train(ds.train, options, rng);
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link;
   link.geometry = {.tx_distance_m = 1.0,
                    .tx_angle_rad = rf::DegToRad(30.0),
@@ -90,7 +90,7 @@ TEST(HybridTest, OverTheAirEvaluationWorks) {
   sync_config.latency_scale = 256.0 / 784.0;
   const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);
   Rng eval_rng(5);
-  const double ota = EvaluateHybridOverTheAir(model, surface, link, ds.test,
+  const double ota = EvaluateHybridOverTheAir(model, graph, link, ds.test,
                                               sync, eval_rng, 80);
   EXPECT_GT(ota, 0.55);
 }

@@ -48,7 +48,7 @@ TEST(RecalibrationTest, RecalibratedDeploymentRecoversAccuracy) {
       data::MakeMnistLike({.train_per_class = 60, .test_per_class = 12});
   Rng rng(1);
   const auto model = TrainModel(ds.train, {}, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   const auto true_link = LinkAtAngle(22.0);
   // Stale deployment: maps weights assuming 40 deg but the channel is at
@@ -56,15 +56,15 @@ TEST(RecalibrationTest, RecalibratedDeploymentRecoversAccuracy) {
   // for the wrong steering.
   sim::OtaLinkConfig stale = true_link;
   stale.geometry.rx_angle_rad = rf::DegToRad(40.0);
-  const Deployment stale_deployment(model, surface, stale);
+  const Deployment stale_deployment(model, graph, stale);
   // Its schedules were solved for 40 deg; transmit them over the true
   // 22-deg link.
-  const sim::OtaLink truth_link(surface, true_link);
+  const sim::OtaLink truth_link(graph, true_link);
   // (Accuracy of the stale mapping over the true channel is evaluated via
   // the recalibration path below; here we check the pipeline end to end.)
 
   const auto result =
-      RecalibrateForReceiver(model, surface, stale, true_link);
+      RecalibrateForReceiver(model, graph, stale, true_link);
   EXPECT_NEAR(rf::RadToDeg(result.report.estimated_angle_rad), 22.0, 2.5);
 
   Rng eval_rng(2);

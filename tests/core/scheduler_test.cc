@@ -37,8 +37,8 @@ struct TwoDeviceSetup {
       data::MakeWidarLike({.train_per_class = 40, .test_per_class = 8});
   SharedSurfaceScheduler scheduler;
 
-  TwoDeviceSetup(const mts::Metasurface& surface)
-      : scheduler(surface,
+  TwoDeviceSetup(const mts::LayerGraph& graph)
+      : scheduler(graph,
                   [this] {
                     std::vector<DeviceSpec> devices;
                     devices.push_back({.name = "camera",
@@ -55,8 +55,8 @@ struct TwoDeviceSetup {
 };
 
 TEST(SchedulerTest, FrameLayoutIsSequentialAndGapped) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const TwoDeviceSetup setup(surface);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const TwoDeviceSetup setup(graph);
   const auto& frame = setup.scheduler.frame();
   ASSERT_EQ(frame.size(), 2u);
   EXPECT_EQ(frame[0].device, "camera");
@@ -72,16 +72,16 @@ TEST(SchedulerTest, FrameLayoutIsSequentialAndGapped) {
 }
 
 TEST(SchedulerTest, FrameDurationAndRateAreConsistent) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const TwoDeviceSetup setup(surface);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const TwoDeviceSetup setup(graph);
   const double frame = setup.scheduler.FrameDuration();
   EXPECT_NEAR(frame, 2.56e-3 + 1.536e-3 + 2 * 20e-6, 1e-9);
   EXPECT_NEAR(setup.scheduler.PerDeviceRate(), 1.0 / frame, 1e-6);
 }
 
 TEST(SchedulerTest, BothDevicesClassifyOverTheSharedSurface) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const TwoDeviceSetup setup(surface);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const TwoDeviceSetup setup(graph);
   Rng rng(3);
   sim::SyncModelConfig sync_config;
   sync_config.latency_scale = 256.0 / 784.0;
@@ -95,15 +95,15 @@ TEST(SchedulerTest, BothDevicesClassifyOverTheSharedSurface) {
 }
 
 TEST(SchedulerTest, DeviceAccessorsValidate) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const TwoDeviceSetup setup(surface);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const TwoDeviceSetup setup(graph);
   EXPECT_EQ(setup.scheduler.device_name(0), "camera");
   EXPECT_THROW(setup.scheduler.deployment(2), CheckError);
   EXPECT_THROW(setup.scheduler.device_name(2), CheckError);
 }
 
 TEST(SchedulerTest, RejectsInfeasibleSymbolRates) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   const auto ds =
       data::MakeMnistLike({.train_per_class = 5, .test_per_class = 1});
   std::vector<DeviceSpec> devices;
@@ -114,13 +114,13 @@ TEST(SchedulerTest, RejectsInfeasibleSymbolRates) {
   SchedulerConfig config;
   config.symbol_rate_hz = 5e6;  // 2 patterns/symbol > 2.56 MHz budget
   EXPECT_THROW(
-      SharedSurfaceScheduler(surface, std::move(devices), config),
+      SharedSurfaceScheduler(graph, std::move(devices), config),
       CheckError);
 }
 
 TEST(SchedulerTest, RejectsEmptyDeviceList) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  EXPECT_THROW(SharedSurfaceScheduler(surface, {}), CheckError);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  EXPECT_THROW(SharedSurfaceScheduler(graph, {}), CheckError);
 }
 
 // --- slot allocation (serving admission) -------------------------------
@@ -151,8 +151,8 @@ TEST(SchedulerTest, AllocateSlotsStopsWhenPendingExhausted) {
 }
 
 TEST(SchedulerTest, BuildFrameSkipsIdleDevicesAndBatchesSlots) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const TwoDeviceSetup setup(surface);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const TwoDeviceSetup setup(graph);
 
   // Radar idle: the frame holds only the camera slot, batched 3x, and
   // the batch amortizes the guard interval (one guard per slot, not per

@@ -130,20 +130,20 @@ TEST_F(SerializationTest, PatternsRoundTripExactly) {
   options.epochs = 2;
   const auto model = TrainModel(ds.train, options, rng);
 
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link_config;
   link_config.geometry = {.tx_distance_m = 1.0,
                           .tx_angle_rad = rf::DegToRad(30.0),
                           .rx_distance_m = 3.0,
                           .rx_angle_rad = rf::DegToRad(40.0),
                           .frequency_hz = 5.25e9};
-  const sim::OtaLink link(surface, link_config);
+  const sim::OtaLink link(graph, link_config);
   const auto mapped = MapWeights(model.network.weights(), link,
                                  {.scheme = MappingScheme::kSequential});
 
   const auto path = dir_ / "patterns.txt";
-  ASSERT_TRUE(TrySavePatterns(mapped, surface.num_atoms(), path).ok());
-  const auto loaded = TryLoadPatterns(path, surface.num_atoms()).value();
+  ASSERT_TRUE(TrySavePatterns(mapped, graph.front().num_atoms(), path).ok());
+  const auto loaded = TryLoadPatterns(path, graph.front().num_atoms()).value();
 
   ASSERT_EQ(loaded.rounds.size(), mapped.rounds.size());
   EXPECT_EQ(loaded.outputs, mapped.outputs);
@@ -165,16 +165,16 @@ TEST_F(SerializationTest, PatternFileIsCompactHex) {
   TrainingOptions options;
   options.epochs = 1;
   const auto model = TrainModel(ds.train, options, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link_config;
   link_config.geometry.frequency_hz = 5.25e9;
   link_config.geometry.tx_distance_m = 1.0;
   link_config.geometry.rx_distance_m = 3.0;
-  const sim::OtaLink link(surface, link_config);
+  const sim::OtaLink link(graph, link_config);
   const auto mapped = MapWeights(model.network.weights(), link,
                                  {.scheme = MappingScheme::kSequential});
   const auto path = dir_ / "patterns.txt";
-  ASSERT_TRUE(TrySavePatterns(mapped, surface.num_atoms(), path).ok());
+  ASSERT_TRUE(TrySavePatterns(mapped, graph.front().num_atoms(), path).ok());
 
   std::ifstream in(path);
   std::string line;
@@ -193,15 +193,15 @@ TEST_F(SerializationTest, PatternAtomMismatchIsParseError) {
   TrainingOptions options;
   options.epochs = 1;
   const auto model = TrainModel(ds.train, options, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig link_config;
   link_config.geometry.tx_distance_m = 1.0;
   link_config.geometry.rx_distance_m = 3.0;
-  const sim::OtaLink link(surface, link_config);
+  const sim::OtaLink link(graph, link_config);
   const auto mapped = MapWeights(model.network.weights(), link,
                                  {.scheme = MappingScheme::kSequential});
   const auto path = dir_ / "patterns.txt";
-  ASSERT_TRUE(TrySavePatterns(mapped, surface.num_atoms(), path).ok());
+  ASSERT_TRUE(TrySavePatterns(mapped, graph.front().num_atoms(), path).ok());
   const auto mismatch = TryLoadPatterns(path, 64);
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.error().code, ErrorCode::kParseError);

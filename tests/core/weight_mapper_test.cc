@@ -35,8 +35,8 @@ ComplexMatrix RandomWeights(std::size_t rows, std::size_t cols,
 }
 
 TEST(WeightMapperTest, SequentialMappingIsAccurate) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(3, 16, 1);
   const auto mapped = MapWeights(weights, link, {.scheme = MappingScheme::kSequential});
   EXPECT_EQ(mapped.rounds.size(), 3u);
@@ -51,8 +51,8 @@ TEST(WeightMapperTest, SequentialMappingIsAccurate) {
 }
 
 TEST(WeightMapperTest, RealizedResponsesMatchScaledWeights) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(2, 8, 2);
   const auto mapped = MapWeights(weights, link, {.scheme = MappingScheme::kSequential});
   const auto steering = link.SteeringVector(0);
@@ -71,8 +71,8 @@ TEST(WeightMapperTest, RealizedResponsesMatchScaledWeights) {
 }
 
 TEST(WeightMapperTest, ScaleKeepsLargestWeightReachable) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   auto weights = RandomWeights(2, 8, 3);
   weights(1, 4) = {50.0, 0.0};  // dominant weight
   const auto mapped =
@@ -85,14 +85,14 @@ TEST(WeightMapperTest, ScaleKeepsLargestWeightReachable) {
 }
 
 TEST(WeightMapperTest, ParallelMappingCoversAllOutputs) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig config = BaseConfig();
   config.observations.clear();
   for (int k = 0; k < 4; ++k) {
     config.observations.push_back(
         {.freq_offset_hz = (k - 1.5) * 40e3});
   }
-  sim::OtaLink link(surface, config);
+  sim::OtaLink link(graph, config);
   const auto weights = RandomWeights(10, 8, 4);
   const auto mapped = MapWeights(weights, link, {.scheme = MappingScheme::kParallel});
   // ceil(10 / 4) = 3 rounds; last round has 2 idle observations.
@@ -116,8 +116,8 @@ TEST(WeightMapperTest, ParallelMappingCoversAllOutputs) {
 TEST(WeightMapperTest, ParallelResidualWorseThanSequential) {
   // Serving several targets with one configuration costs fidelity — the
   // accuracy/latency trade-off of §3.3.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink seq_link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink seq_link(graph, BaseConfig());
   const auto weights = RandomWeights(4, 8, 5);
   const auto sequential = MapWeights(weights, seq_link, {.scheme = MappingScheme::kSequential});
 
@@ -127,7 +127,7 @@ TEST(WeightMapperTest, ParallelResidualWorseThanSequential) {
     par_config.observations.push_back(
         {.freq_offset_hz = (k - 1.5) * 40e3});
   }
-  sim::OtaLink par_link(surface, par_config);
+  sim::OtaLink par_link(graph, par_config);
   const auto parallel = MapWeights(weights, par_link, {.scheme = MappingScheme::kParallel});
   EXPECT_GT(parallel.mean_relative_residual,
             sequential.mean_relative_residual);
@@ -136,10 +136,10 @@ TEST(WeightMapperTest, ParallelResidualWorseThanSequential) {
 TEST(WeightMapperTest, EnvironmentSubtractionCancelsStaticMultipath) {
   // Eqn 8: with cancellation off, solving for (H_des - H_e) makes the
   // *total* received channel land on the desired weight.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig config = BaseConfig();
   config.multipath_cancellation = false;
-  sim::OtaLink link(surface, config);
+  sim::OtaLink link(graph, config);
   const auto weights = RandomWeights(1, 4, 6);
   const auto mapped =
       MapWeights(weights, link, {.scheme = MappingScheme::kSequential, .subtract_environment = true});
@@ -159,8 +159,8 @@ TEST(WeightMapperTest, EnvironmentSubtractionCancelsStaticMultipath) {
 }
 
 TEST(WeightMapperTest, ValidatesArguments) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   ComplexMatrix empty;
   EXPECT_THROW(MapWeights(empty, link, {.scheme = MappingScheme::kSequential}), CheckError);
   ComplexMatrix zeros(2, 4, sim::Complex{0.0, 0.0});
@@ -173,15 +173,15 @@ TEST(WeightMapperTest, ValidatesArguments) {
 
   sim::OtaLinkConfig multi = BaseConfig();
   multi.observations.push_back({.freq_offset_hz = 40e3});
-  sim::OtaLink multi_link(surface, multi);
+  sim::OtaLink multi_link(graph, multi);
   EXPECT_THROW(MapWeights(weights, multi_link, {.scheme = MappingScheme::kSequential}), CheckError);
 }
 
 TEST(WeightMapperTest, AutoSchemeFollowsLinkShape) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   const auto weights = RandomWeights(3, 8, 8);
 
-  sim::OtaLink single(surface, BaseConfig());
+  sim::OtaLink single(graph, BaseConfig());
   const auto auto_single = MapWeights(weights, single);
   const auto sequential =
       MapWeights(weights, single, {.scheme = MappingScheme::kSequential});
@@ -193,7 +193,7 @@ TEST(WeightMapperTest, AutoSchemeFollowsLinkShape) {
   for (int k = 0; k < 3; ++k) {
     config.observations.push_back({.freq_offset_hz = (k - 1.0) * 40e3});
   }
-  sim::OtaLink multi(surface, config);
+  sim::OtaLink multi(graph, config);
   const auto auto_multi = MapWeights(weights, multi);
   const auto parallel =
       MapWeights(weights, multi, {.scheme = MappingScheme::kParallel});
@@ -204,13 +204,13 @@ TEST(WeightMapperTest, AutoSchemeFollowsLinkShape) {
 // The serving guarantee: a cached mapping is bitwise identical to a
 // fresh solve — phase codes, output assignments, and both float scalars.
 TEST(WeightMapperTest, CachedMappingIsBitwiseIdenticalToFreshSolve) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig config = BaseConfig();
   config.observations.clear();
   for (int k = 0; k < 2; ++k) {
     config.observations.push_back({.freq_offset_hz = (k - 0.5) * 40e3});
   }
-  sim::OtaLink link(surface, config);
+  sim::OtaLink link(graph, config);
   const auto weights = RandomWeights(4, 8, 9);
 
   const auto fresh =
@@ -233,8 +233,8 @@ TEST(WeightMapperTest, CachedMappingIsBitwiseIdenticalToFreshSolve) {
 }
 
 TEST(WeightMapperTest, CacheKeyDistinguishesEveryInput) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(2, 4, 10);
   auto other = weights;
   other(1, 2) += sim::Complex{1e-12, 0.0};
@@ -264,8 +264,8 @@ TEST(WeightMapperTest, CacheKeyDistinguishesEveryInput) {
 // from the nearest cached schedule — equivalent accuracy for fewer
 // coordinate-descent sweeps.
 TEST(WeightMapperTest, WarmStartFromNearDuplicateUsesFewerSweeps) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(3, 16, 11);
   auto near_duplicate = weights;
   // A fine-tuning-sized perturbation: every weight nudged by ~0.3%.
@@ -298,8 +298,8 @@ TEST(WeightMapperTest, WarmStartFromNearDuplicateUsesFewerSweeps) {
 }
 
 TEST(WeightMapperTest, WarmStartBeyondDistanceFallsBackToColdSolve) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(2, 8, 13);
   const auto unrelated = RandomWeights(2, 8, 14);
 
@@ -316,8 +316,8 @@ TEST(WeightMapperTest, WarmStartBeyondDistanceFallsBackToColdSolve) {
 TEST(WeightMapperTest, WarmStartParamsParticipateInCacheKey) {
   // Warm-started and cold mappings are different computations; they must
   // never share a cache entry.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(2, 4, 15);
 
   const MappingOptions base{.scheme = MappingScheme::kSequential};
@@ -333,8 +333,8 @@ TEST(WeightMapperTest, WarmStartParamsParticipateInCacheKey) {
 }
 
 TEST(WeightMapperTest, FamilyKeyIgnoresWeightsAndFeaturesAreScaleFree) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  sim::OtaLink link(surface, BaseConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  sim::OtaLink link(graph, BaseConfig());
   const auto weights = RandomWeights(2, 4, 16);
   const auto other = RandomWeights(2, 4, 17);
 

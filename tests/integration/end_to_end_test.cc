@@ -49,25 +49,26 @@ TEST_F(EndToEndTest, TrainPersistDeployTransmitPipeline) {
   const auto loaded = core::TryLoadModel(dir_ / "model.txt").value();
 
   // Deploy the loaded model and persist + reload the patterns.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(loaded, surface, DefaultLink());
-  core::TrySavePatterns(deployment.schedules(), surface.num_atoms(),
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(loaded, graph, DefaultLink());
+  core::TrySavePatterns(deployment.schedules(), graph.front().num_atoms(),
                         dir_ / "patterns.txt")
       .value();
   const auto patterns =
-      core::TryLoadPatterns(dir_ / "patterns.txt", surface.num_atoms()).value();
+      core::TryLoadPatterns(dir_ / "patterns.txt", graph.front().num_atoms())
+          .value();
 
   // Transmit one sample with the reloaded patterns: measurements match
   // the live deployment's schedules exactly (same codes).
-  const sim::OtaLink link(surface, DefaultLink());
+  const sim::OtaLink link(graph, DefaultLink());
   const auto symbols =
       data::EncodeSample(ds.test.features[0], loaded.modulation);
   Rng noise_a(7);
   Rng noise_b(7);
   const auto z_live = link.TransmitSequence(
-      symbols, deployment.schedules().rounds[0], 0.0, noise_a);
+      symbols, deployment.schedules().rounds[0], {}, 0.0, noise_a);
   const auto z_loaded =
-      link.TransmitSequence(symbols, patterns.rounds[0], 0.0, noise_b);
+      link.TransmitSequence(symbols, patterns.rounds[0], {}, 0.0, noise_b);
   for (std::size_t i = 0; i < z_live.cols(); ++i) {
     EXPECT_EQ(z_live(0, i), z_loaded(0, i));
   }
@@ -92,8 +93,8 @@ TEST_F(EndToEndTest, OtaTracksDigitalAcrossDatasets) {
     const auto model = core::TrainModel(ds.train, options, rng);
     const double digital = core::EvaluateDigital(model, ds.test);
 
-    const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-    const core::Deployment deployment(model, surface, DefaultLink(3));
+    const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+    const core::Deployment deployment(model, graph, DefaultLink(3));
     Rng eval_rng(4);
     const double ota =
         deployment.EvaluateAccuracyAtOffset(ds.test, 0.0, eval_rng, 50);
@@ -111,14 +112,14 @@ TEST_F(EndToEndTest, TxPowerIsACommonScale) {
   core::TrainingOptions options;
   options.epochs = 20;
   const auto model = core::TrainModel(ds.train, options, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   std::vector<int> reference;
   for (const double power_dbm : {0.0, 20.0, 40.0}) {
     sim::OtaLinkConfig config = DefaultLink(11);
     config.budget.tx_power_dbm = power_dbm;
     config.budget.noise_floor_dbm = -200.0;  // noiseless
-    const core::Deployment deployment(model, surface, config);
+    const core::Deployment deployment(model, graph, config);
     std::vector<int> predictions;
     Rng eval_rng(6);
     for (std::size_t i = 0; i < 20; ++i) {
@@ -151,10 +152,10 @@ TEST_F(EndToEndTest, FrequencyBandsAreInterchangeable) {
   for (const Band& band : {Band{mts::DualBandSpec(), 2.4e9},
                            Band{mts::SingleBandSpec(), 3.5e9},
                            Band{mts::DualBandSpec(), 5.0e9}}) {
-    const mts::Metasurface surface{band.spec};
+    const mts::LayerGraph graph(mts::Metasurface{band.spec});
     sim::OtaLinkConfig config = DefaultLink(13);
     config.geometry.frequency_hz = band.frequency;
-    const core::Deployment deployment(model, surface, config);
+    const core::Deployment deployment(model, graph, config);
     Rng eval_rng(14);
     const double acc =
         deployment.EvaluateAccuracyAtOffset(ds.test, 0.0, eval_rng, 50);
@@ -172,12 +173,12 @@ TEST_F(EndToEndTest, UnsupportedBandFailsLoudly) {
   core::TrainingOptions options;
   options.epochs = 5;
   const auto model = core::TrainModel(ds.train, options, rng);
-  const mts::Metasurface surface{mts::SingleBandSpec()};
+  const mts::LayerGraph graph(mts::Metasurface{mts::SingleBandSpec()});
   sim::OtaLinkConfig config = DefaultLink();  // 5.25 GHz
   // Steering is still well-defined (unit phasors); but the amplitude is
   // zero, so the deployment produces all-zero responses -> chance-level
   // accuracy rather than a crash.
-  const core::Deployment deployment(model, surface, config);
+  const core::Deployment deployment(model, graph, config);
   Rng eval_rng(16);
   const double acc =
       deployment.EvaluateAccuracyAtOffset(ds.test, 0.0, eval_rng, 40);

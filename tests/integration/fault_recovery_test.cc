@@ -50,7 +50,7 @@ class FaultRecoveryTest : public ::testing::Test {
 
   static data::Dataset* dataset_;
   static core::TrainedModel* model_;
-  mts::Metasurface surface_{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph_{mts::Metasurface{mts::MetasurfaceSpec{}}};
 };
 
 data::Dataset* FaultRecoveryTest::dataset_ = nullptr;
@@ -58,11 +58,12 @@ core::TrainedModel* FaultRecoveryTest::model_ = nullptr;
 
 TEST_F(FaultRecoveryTest, DiagnosisFindsExactlyTheStuckAtoms) {
   auto injector = std::make_shared<const fault::FaultInjector>(
-      fault::TryParseFaultSpec("stuck=0.1,seed=7").value(), surface_.num_atoms());
+      fault::TryParseFaultSpec("stuck=0.1,seed=7").value(),
+      graph_.front().num_atoms());
   sim::OtaLinkConfig config = DefaultLink(2);
   config.budget.noise_floor_dbm = -120.0;  // clean probes
   config.faults = injector;
-  const core::Deployment deployment(*model_, surface_, config);
+  const core::Deployment deployment(*model_, graph_, config);
 
   Rng rng(3);
   const core::FaultDiagnosis diagnosis =
@@ -71,7 +72,7 @@ TEST_F(FaultRecoveryTest, DiagnosisFindsExactlyTheStuckAtoms) {
   EXPECT_EQ(diagnosis.num_stuck, injector->num_stuck());
   EXPECT_LT(diagnosis.wdd_ratio, 1.0);
   EXPECT_GT(diagnosis.wdd_ratio, 0.0);
-  EXPECT_EQ(diagnosis.probe_transmissions, surface_.num_atoms() + 1);
+  EXPECT_EQ(diagnosis.probe_transmissions, graph_.front().num_atoms() + 1);
   // Under the cancellation scheme the stuck atoms never flip, so they
   // cancel like the environment and the static offsets are noise-level.
   const auto steering = deployment.link().SteeringVector(0);
@@ -84,11 +85,11 @@ TEST_F(FaultRecoveryTest, DiagnosisFindsExactlyTheStuckAtoms) {
 TEST_F(FaultRecoveryTest, DiagnosisMeasuresDriftedSteering) {
   auto injector = std::make_shared<const fault::FaultInjector>(
       fault::TryParseFaultSpec("drift=0.013,age=60,seed=11").value(),
-      surface_.num_atoms());
+      graph_.front().num_atoms());
   sim::OtaLinkConfig config = DefaultLink(4);
   config.budget.noise_floor_dbm = -120.0;
   config.faults = injector;
-  const core::Deployment deployment(*model_, surface_, config);
+  const core::Deployment deployment(*model_, graph_, config);
 
   Rng rng(5);
   const core::FaultDiagnosis diagnosis =
@@ -112,17 +113,17 @@ TEST_F(FaultRecoveryTest, ResolveRecoversMostOfTheLostAccuracy) {
   // ISSUE acceptance: at <= 10% stuck atoms the fault-aware re-solve
   // recovers at least half of the accuracy lost to the faults.
   sim::OtaLinkConfig healthy_config = DefaultLink(6);
-  const core::Deployment healthy(*model_, surface_, healthy_config);
+  const core::Deployment healthy(*model_, graph_, healthy_config);
   Rng ref_rng(7);
   const double reference =
       healthy.EvaluateAccuracyAtOffset(dataset_->test, 0.0, ref_rng, 80);
 
   auto injector = std::make_shared<const fault::FaultInjector>(
       fault::TryParseFaultSpec("stuck=0.1,drift=0.04,age=60,seed=13").value(),
-      surface_.num_atoms());
+      graph_.front().num_atoms());
   sim::OtaLinkConfig faulty_config = healthy_config;
   faulty_config.faults = injector;
-  const core::Deployment degraded(*model_, surface_, faulty_config);
+  const core::Deployment degraded(*model_, graph_, faulty_config);
   Rng deg_rng(7);
   const double degraded_acc =
       degraded.EvaluateAccuracyAtOffset(dataset_->test, 0.0, deg_rng, 80);
@@ -131,7 +132,7 @@ TEST_F(FaultRecoveryTest, ResolveRecoversMostOfTheLostAccuracy) {
   const core::FaultDiagnosis diagnosis = core::DiagnoseDeployment(
       degraded, diag_rng, {.probe_symbols = 128});
   const core::Deployment recovered = core::RecoverFromFaults(
-      *model_, surface_, faulty_config, {}, diagnosis);
+      *model_, graph_, faulty_config, {}, diagnosis);
   Rng rec_rng(7);
   const double recovered_acc =
       recovered.EvaluateAccuracyAtOffset(dataset_->test, 0.0, rec_rng, 80);
@@ -142,23 +143,23 @@ TEST_F(FaultRecoveryTest, ResolveRecoversMostOfTheLostAccuracy) {
 
 TEST_F(FaultRecoveryTest, WatchdogTripsDiagnosesAndRecovers) {
   sim::OtaLinkConfig healthy_config = DefaultLink(8);
-  const core::Deployment healthy(*model_, surface_, healthy_config);
+  const core::Deployment healthy(*model_, graph_, healthy_config);
   Rng ref_rng(15);
   const double reference =
       healthy.EvaluateAccuracyAtOffset(dataset_->test, 0.0, ref_rng, 64);
 
   auto injector = std::make_shared<const fault::FaultInjector>(
       fault::TryParseFaultSpec("stuck=0.1,drift=0.04,age=60,seed=17").value(),
-      surface_.num_atoms());
+      graph_.front().num_atoms());
   sim::OtaLinkConfig faulty_config = healthy_config;
   faulty_config.faults = injector;
-  const core::Deployment degraded(*model_, surface_, faulty_config);
+  const core::Deployment degraded(*model_, graph_, faulty_config);
 
   Rng rng(19);
   core::FaultWatchdogConfig watchdog_config;
   watchdog_config.diagnosis.probe_symbols = 128;
   const core::FaultWatchdogResult result = core::RunFaultWatchdog(
-      *model_, surface_, faulty_config, {}, degraded, dataset_->test, reference,
+      *model_, graph_, faulty_config, {}, degraded, dataset_->test, reference,
       rng, watchdog_config);
   ASSERT_TRUE(result.report.tripped);
   ASSERT_TRUE(result.recovered.has_value());
@@ -169,7 +170,7 @@ TEST_F(FaultRecoveryTest, WatchdogTripsDiagnosesAndRecovers) {
   // A healthy deployment must not trip.
   Rng quiet_rng(21);
   const core::FaultWatchdogResult quiet = core::RunFaultWatchdog(
-      *model_, surface_, healthy_config, {}, healthy, dataset_->test, reference,
+      *model_, graph_, healthy_config, {}, healthy, dataset_->test, reference,
       quiet_rng);
   EXPECT_FALSE(quiet.report.tripped);
   EXPECT_FALSE(quiet.recovered.has_value());
@@ -180,17 +181,17 @@ TEST_F(FaultRecoveryTest, FaultPipelineIsSeedStable) {
   // seeds: two identical runs agree bitwise.
   auto injector = std::make_shared<const fault::FaultInjector>(
       fault::TryParseFaultSpec("stuck=0.05,chain=1e-4,seed=23").value(),
-      surface_.num_atoms());
+      graph_.front().num_atoms());
   sim::OtaLinkConfig config = DefaultLink(10);
   config.faults = injector;
-  const core::Deployment deployment(*model_, surface_, config);
+  const core::Deployment deployment(*model_, graph_, config);
 
   auto run = [&] {
     Rng rng(25);
     const core::FaultDiagnosis diagnosis =
         core::DiagnoseDeployment(deployment, rng);
     const core::Deployment recovered =
-        core::RecoverFromFaults(*model_, surface_, config, {}, diagnosis);
+        core::RecoverFromFaults(*model_, graph_, config, {}, diagnosis);
     Rng eval_rng(27);
     return std::pair{diagnosis.healthy_mask,
                      recovered.EvaluateAccuracyAtOffset(dataset_->test, 0.0,

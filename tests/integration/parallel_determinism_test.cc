@@ -54,8 +54,8 @@ TEST(ParallelDeterminismTest, SequentialMappingIsThreadCountInvariant) {
   const auto ds =
       data::MakeMnistLike({.train_per_class = 10, .test_per_class = 2});
   const auto model = SmallModel(ds);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const sim::OtaLink link(surface, SmallLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const sim::OtaLink link(graph, SmallLink());
 
   auto map = [&](int threads) {
     const par::ScopedThreadCount scoped(threads);
@@ -72,7 +72,7 @@ TEST(ParallelDeterminismTest, ParallelMappingIsThreadCountInvariant) {
   const auto ds =
       data::MakeMnistLike({.train_per_class = 10, .test_per_class = 2});
   const auto model = SmallModel(ds);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   auto map = [&](int threads) {
     const par::ScopedThreadCount scoped(threads);
@@ -82,7 +82,7 @@ TEST(ParallelDeterminismTest, ParallelMappingIsThreadCountInvariant) {
     sim::OtaLinkConfig config = SmallLink();
     config.observations =
         core::BuildObservations(config, model.num_classes(), options);
-    const sim::OtaLink link(surface, config);
+    const sim::OtaLink link(graph, config);
     core::MappingOptions mapping = options.mapping;
     mapping.scheme = core::MappingScheme::kParallel;
     return core::MapWeights(model.network.weights(), link, mapping);
@@ -97,11 +97,11 @@ TEST(ParallelDeterminismTest, DeploymentAccuracyIsThreadCountInvariant) {
   const auto ds =
       data::MakeMnistLike({.train_per_class = 10, .test_per_class = 3});
   const auto model = SmallModel(ds);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   auto evaluate = [&](int threads) {
     const par::ScopedThreadCount scoped(threads);
-    const core::Deployment deployment(model, surface, SmallLink());
+    const core::Deployment deployment(model, graph, SmallLink());
     sim::SyncModelConfig sync_config;
     sync_config.latency_scale = 0.3;
     const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);
@@ -125,7 +125,7 @@ TEST(ParallelDeterminismTest, TelemetryExportIsThreadCountInvariant) {
   const auto ds =
       data::MakeMnistLike({.train_per_class = 10, .test_per_class = 3});
   const auto model = SmallModel(ds);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
 
   // Full instrumented pipeline (solver counters/histograms/probes during
   // deployment construction, link/sync/ota instruments during the batch
@@ -136,7 +136,7 @@ TEST(ParallelDeterminismTest, TelemetryExportIsThreadCountInvariant) {
     obs::ProbeSink sink;
     const obs::ScopedRegistry scoped_registry(&registry);
     const obs::ScopedProbeSink scoped_sink(&sink);
-    const core::Deployment deployment(model, surface, SmallLink());
+    const core::Deployment deployment(model, graph, SmallLink());
     sim::SyncModelConfig sync_config;
     sync_config.latency_scale = 0.3;
     const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);

@@ -48,8 +48,8 @@ class GeometrySweep
 TEST_P(GeometrySweep, DeploymentWorksAcrossPlacements) {
   const auto [tx_deg, rx_deg, rx_dist] = GetParam();
   const auto& setup = Shared();
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(setup.model, surface,
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(setup.model, graph,
                                     LinkFor(tx_deg, rx_deg, rx_dist));
   Rng rng(56);
   const double acc = deployment.EvaluateAccuracyAtOffset(
@@ -83,8 +83,8 @@ TEST_P(ModulationSweep, PipelineWorksForEveryScheme) {
   options.epochs = 25;
   options.modulation = scheme;
   const auto model = core::TrainModel(ds.train, options, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(model, surface,
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(model, graph,
                                     LinkFor(30.0, 40.0, 3.0));
   Rng eval_rng(58);
   const double acc =
@@ -113,11 +113,11 @@ class ParallelismSweep
 TEST_P(ParallelismSweep, RoundsAndCoverageAreConsistent) {
   const auto [mode, width] = GetParam();
   const auto& setup = Shared();
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   core::DeploymentOptions options;
   options.mode = mode;
   options.parallel_width = width;
-  const core::Deployment deployment(setup.model, surface,
+  const core::Deployment deployment(setup.model, graph,
                                     LinkFor(30.0, 40.0, 3.0), options);
   const std::size_t classes = setup.model.num_classes();
   const std::size_t effective_width = std::min(width, classes);

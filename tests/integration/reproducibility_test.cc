@@ -48,15 +48,15 @@ TEST(ReproducibilityTest, OtaMeasurementsAreBitExactGivenSeeds) {
   core::TrainingOptions options;
   options.epochs = 5;
   const auto model = core::TrainModel(ds.train, options, train_rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(model, surface, SmallLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(model, graph, SmallLink());
   const auto symbols =
       data::EncodeSample(ds.test.features[0], model.modulation);
 
   auto run = [&] {
     Rng rng(99);
     return deployment.link().TransmitSequence(
-        symbols, deployment.schedules().rounds[0], 0.7, rng);
+        symbols, deployment.schedules().rounds[0], {}, 0.7, rng);
   };
   const auto za = run();
   const auto zb = run();
@@ -73,8 +73,8 @@ TEST(ReproducibilityTest, EvaluationAccuracyIsExactlyRepeatable) {
   core::TrainingOptions options;
   options.epochs = 10;
   const auto model = core::TrainModel(ds.train, options, train_rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(model, surface, SmallLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(model, graph, SmallLink());
   sim::SyncModelConfig sync_config;
   sync_config.latency_scale = 0.3;
   const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);
@@ -87,12 +87,12 @@ TEST(ReproducibilityTest, EvaluationAccuracyIsExactlyRepeatable) {
 
 TEST(ReproducibilityTest, DifferentChannelSeedsGiveDifferentChannels) {
   // The flip side: channel seeds actually matter (no accidental sharing).
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   sim::OtaLinkConfig a = SmallLink();
   sim::OtaLinkConfig b = SmallLink();
   b.channel_seed = 78;
-  const sim::OtaLink link_a(surface, a);
-  const sim::OtaLink link_b(surface, b);
+  const sim::OtaLink link_a(graph, a);
+  const sim::OtaLink link_b(graph, b);
   EXPECT_NE(link_a.EnvironmentResponse(0), link_b.EnvironmentResponse(0));
 }
 

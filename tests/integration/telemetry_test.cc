@@ -50,8 +50,8 @@ TEST(TelemetryIntegrationTest, OtaPipelineInstrumentsMatchReportedState) {
   core::TrainingOptions options;
   options.epochs = 5;
   const auto model = core::TrainModel(ds.train, options, train_rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(model, surface, SmallLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(model, graph, SmallLink());
 
   sim::SyncModelConfig sync_config;
   sync_config.latency_scale = 0.3;
@@ -88,8 +88,8 @@ TEST(TelemetryIntegrationTest, IdenticalSeedsProduceIdenticalSnapshots) {
     core::TrainingOptions options;
     options.epochs = 5;
     const auto model = core::TrainModel(ds.train, options, train_rng);
-    const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-    const core::Deployment deployment(model, surface, SmallLink());
+    const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+    const core::Deployment deployment(model, graph, SmallLink());
     sim::SyncModelConfig sync_config;
     sync_config.latency_scale = 0.3;
     const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);
@@ -114,8 +114,8 @@ TEST(TelemetryIntegrationTest, ProbeStreamIsPopulatedAndSeedDeterministic) {
     core::TrainingOptions options;
     options.epochs = 2;
     const auto model = core::TrainModel(ds.train, options, train_rng);
-    const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-    const core::Deployment deployment(model, surface, SmallLink());
+    const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+    const core::Deployment deployment(model, graph, SmallLink());
     sim::SyncModelConfig sync_config;
     sync_config.latency_scale = 0.3;
     const sim::SyncModel sync(sim::SyncMode::kCdfa, sync_config);
@@ -163,12 +163,12 @@ TEST(TelemetryIntegrationTest, SchedulerRecordsFrameAndBudgetState) {
   core::TrainingOptions options;
   options.epochs = 2;
   auto model = core::TrainModel(ds.train, options, rng);
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   std::vector<core::DeviceSpec> devices;
   devices.push_back({.name = "a", .model = model, .link = SmallLink()});
   devices.push_back({.name = "b", .model = std::move(model),
                      .link = SmallLink()});
-  const core::SharedSurfaceScheduler scheduler(surface, std::move(devices));
+  const core::SharedSurfaceScheduler scheduler(graph, std::move(devices));
 
   const obs::RegistrySnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(CounterValue(snapshot, "scheduler.frames_built"), 1u);

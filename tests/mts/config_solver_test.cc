@@ -150,8 +150,9 @@ TEST(ConfigSolverTest, ValidatesArguments) {
                CheckError);
 }
 
-// The Result-returning forms surface the same validation as typed
-// kInvalidArgument errors — one per distinct error path.
+// ValidateSolveOptions surfaces option errors as typed
+// kInvalidArgument errors — one per distinct error path — and the
+// throwing solvers reject bad shapes with CheckError.
 TEST(ConfigSolverTest, TypedValidationErrors) {
   const auto sweeps = ValidateSolveOptions({.max_sweeps = 0}, 4);
   ASSERT_FALSE(sweeps.ok());
@@ -171,23 +172,12 @@ TEST(ConfigSolverTest, TypedValidationErrors) {
 
   EXPECT_TRUE(ValidateSolveOptions({}, 4).ok());
 
-  const auto empty = TrySolveSingleTarget({}, Complex{1.0, 0.0});
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_THROW(SolveSingleTarget({}, Complex{1.0, 0.0}), CheckError);
 
   ComplexMatrix steering(2, 4, Complex{1.0, 0.0});
   const std::vector<Complex> wrong_targets{Complex{1.0, 0.0}};
-  const auto shape = TrySolveMultiTarget(steering, wrong_targets);
-  ASSERT_FALSE(shape.ok());
-  EXPECT_EQ(shape.error().code, ErrorCode::kInvalidArgument);
-
-  // And the happy path matches the throwing form exactly.
-  const std::vector<Complex> targets{Complex{1.0, 0.0}, Complex{0.0, 1.0}};
-  const auto solved = TrySolveMultiTarget(steering, targets);
-  ASSERT_TRUE(solved.ok());
-  const auto direct = SolveMultiTarget(steering, targets);
-  EXPECT_EQ(solved.value().codes, direct.codes);
-  EXPECT_EQ(solved.value().residual, direct.residual);
+  EXPECT_THROW(SolveMultiTarget(steering, wrong_targets), CheckError);
+  EXPECT_THROW(SolveMultiTarget(ComplexMatrix(0, 4), {}), CheckError);
 }
 
 TEST(ConfigSolverTest, ValidatesWarmStartOptions) {

@@ -169,26 +169,29 @@ TEST(CascadeSolverTest, MoreOuterSweepsDoNotRegressResidual) {
   EXPECT_GT(four.total_sweeps, one.total_sweeps);
 }
 
-TEST(CascadeSolverTest, TypedErrorsOnInvalidInputs) {
+TEST(CascadeSolverTest, RejectsInvalidInputs) {
   const std::vector<Complex> targets{{10.0, 0.0}};
-  const auto empty = TrySolveCascadeMultiTarget({}, targets, {});
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_THROW(SolveCascadeMultiTarget({}, targets, {}), CheckError);
 
   // Upper layer row count must match the target count.
   std::vector<CascadeLayerInput> layers(2);
   layers[0].steering = SyntheticSteering(1, 16, 0.31);
   layers[1].steering = SyntheticSteering(2, 16, 0.31);
-  const auto mismatched = TrySolveCascadeMultiTarget(layers, targets, {});
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_THROW(SolveCascadeMultiTarget(layers, targets, {}), CheckError);
 
   std::vector<CascadeLayerInput> bad_sweeps(1);
   bad_sweeps[0].steering = SyntheticSteering(1, 16, 0.31);
-  const auto zero_sweeps =
-      TrySolveCascadeMultiTarget(bad_sweeps, targets, {0});
-  ASSERT_FALSE(zero_sweeps.ok());
-  EXPECT_EQ(zero_sweeps.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_THROW(SolveCascadeMultiTarget(bad_sweeps, targets, {0}), CheckError);
+
+  // A layer without atoms, and per-layer solver options, are checked too.
+  std::vector<CascadeLayerInput> no_atoms(1);
+  no_atoms[0].steering = ComplexMatrix(1, 0);
+  EXPECT_THROW(SolveCascadeMultiTarget(no_atoms, targets, {}), CheckError);
+  std::vector<CascadeLayerInput> bad_options(2);
+  bad_options[0].steering = SyntheticSteering(1, 16, 0.31);
+  bad_options[1].steering = SyntheticSteering(1, 16, 0.31);
+  bad_options[1].options.max_sweeps = 0;
+  EXPECT_THROW(SolveCascadeMultiTarget(bad_options, targets, {}), CheckError);
 }
 
 }  // namespace

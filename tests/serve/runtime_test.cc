@@ -142,23 +142,6 @@ TEST(ServeRuntimeTest, TryCreateReportsTypedErrors) {
   EXPECT_EQ(good.value().num_clients(), 2u);
 }
 
-TEST(ServeRuntimeTest, DeprecatedSurfaceConstructorMatchesGraphEntry) {
-  // The one-PR compatibility shim must serve bit-for-bit like the
-  // graph-first entry point it wraps.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const Runtime legacy(surface, TwoClients(),
-                       RuntimeOptions{.cache = SharedCache()});
-#pragma GCC diagnostic pop
-  const auto requests = SmallTrace(8);
-  const sim::SyncModel sync = DefaultSync();
-  Rng rng_a(61);
-  Rng rng_b(61);
-  EXPECT_EQ(Predictions(legacy.Run(requests, sync, rng_a)),
-            Predictions(SharedRuntime().Run(requests, sync, rng_b)));
-}
-
 TEST(ServeRuntimeTest, CallerOwnedStreamsMatchInternalForking) {
   // The span-of-streams overload (the fleet routing hook) must replay
   // the internally-forked run exactly when handed the same fork.

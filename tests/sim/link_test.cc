@@ -30,8 +30,7 @@ OtaLinkConfig QuietConfig() {
 }
 
 // A schedule realizing a single target weight on every symbol.
-MtsSchedule UniformSchedule(const mts::Metasurface& /*surface*/,
-                            const OtaLink& link, Complex target,
+MtsSchedule UniformSchedule(const OtaLink& link, Complex target,
                             std::size_t symbols) {
   const auto steering = link.SteeringVector(0);
   const auto result = mts::SolveSingleTarget(steering, target);
@@ -50,10 +49,10 @@ TEST(OtaLinkTest, NoiselessTransmissionRealizesWeightTimesData) {
   // With cancellation on and no noise/offset, z_i must equal
   // tx_amplitude * mts_amplitude * B_i * x_i exactly — the paper's
   // Eqn 3 product realized over the air.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  OtaLink link(surface, QuietConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  OtaLink link(graph, QuietConfig());
   const Complex target{80.0, 40.0};
-  const auto schedule = UniformSchedule(surface, link, target, 4);
+  const auto schedule = UniformSchedule(link, target, 4);
 
   // Evaluate the achieved sum for the solved codes.
   const auto steering = link.SteeringVector(0);
@@ -64,7 +63,7 @@ TEST(OtaLinkTest, NoiselessTransmissionRealizesWeightTimesData) {
 
   std::vector<Complex> data{{1.0, 0.0}, {0.0, 1.0}, {-0.7, 0.3}, {0.5, -0.5}};
   Rng rng(7);
-  const auto z = link.TransmitSequence(data, schedule, 0.0, rng);
+  const auto z = link.TransmitSequence(data, schedule, {}, 0.0, rng);
   ASSERT_EQ(z.rows(), 1u);
   ASSERT_EQ(z.cols(), 4u);
   const double amp = std::sqrt(std::pow(10.0, (20.0 - 30.0) / 10.0)) *
@@ -80,14 +79,14 @@ TEST(OtaLinkTest, CancellationRemovesEnvironmentPath) {
   // With the flip scheme, the (static) environment path must not leak
   // into the measurements even though it is comparable in strength to
   // the MTS path.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.environment.profile = rf::LaboratoryProfile();  // rich multipath
   config.multipath_cancellation = true;
-  OtaLink link(surface, config);
+  OtaLink link(graph, config);
   ASSERT_GT(std::abs(link.EnvironmentResponse(0)), 0.0);
 
-  const auto schedule = UniformSchedule(surface, link, {80.0, 40.0}, 3);
+  const auto schedule = UniformSchedule(link, {80.0, 40.0}, 3);
   const auto steering = link.SteeringVector(0);
   Complex achieved{0.0, 0.0};
   for (std::size_t m = 0; m < steering.size(); ++m) {
@@ -95,7 +94,7 @@ TEST(OtaLinkTest, CancellationRemovesEnvironmentPath) {
   }
   std::vector<Complex> data{{1.0, 0.0}, {0.6, -0.8}, {-1.0, 0.0}};
   Rng rng(9);
-  const auto z = link.TransmitSequence(data, schedule, 0.0, rng);
+  const auto z = link.TransmitSequence(data, schedule, {}, 0.0, rng);
   const double amp = std::sqrt(std::pow(10.0, (20.0 - 30.0) / 10.0)) *
                      link.MtsPathAmplitude(0);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -111,7 +110,7 @@ TEST(OtaLinkTest, ObservationOrderDoesNotChangeChannels) {
   // — depended on where that observation sat in the list. Permuting the
   // observation list must permute the per-observation channels, nothing
   // more.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   mts::LinkGeometry other = DefaultGeometry();
   other.rx_angle_rad = rf::DegToRad(-25.0);
   const Observation base_obs{};
@@ -123,21 +122,21 @@ TEST(OtaLinkTest, ObservationOrderDoesNotChangeChannels) {
   OtaLinkConfig reversed = forward;
   reversed.observations = {override_obs, base_obs};
 
-  const OtaLink link_fwd(surface, forward);
-  const OtaLink link_rev(surface, reversed);
+  const OtaLink link_fwd(graph, forward);
+  const OtaLink link_rev(graph, reversed);
   // base_obs is index 0 forward, index 1 reversed (and vice versa).
   EXPECT_EQ(link_fwd.EnvironmentResponse(0), link_rev.EnvironmentResponse(1));
   EXPECT_EQ(link_fwd.EnvironmentResponse(1), link_rev.EnvironmentResponse(0));
 }
 
 TEST(OtaLinkTest, WithoutCancellationEnvironmentLeaksIn) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.environment.profile = rf::LaboratoryProfile();
   config.multipath_cancellation = false;
-  OtaLink link(surface, config);
+  OtaLink link(graph, config);
 
-  const auto schedule = UniformSchedule(surface, link, {80.0, 40.0}, 1);
+  const auto schedule = UniformSchedule(link, {80.0, 40.0}, 1);
   const auto steering = link.SteeringVector(0);
   Complex achieved{0.0, 0.0};
   for (std::size_t m = 0; m < steering.size(); ++m) {
@@ -145,7 +144,7 @@ TEST(OtaLinkTest, WithoutCancellationEnvironmentLeaksIn) {
   }
   std::vector<Complex> data{{1.0, 0.0}};
   Rng rng(11);
-  const auto z = link.TransmitSequence(data, schedule, 0.0, rng);
+  const auto z = link.TransmitSequence(data, schedule, {}, 0.0, rng);
   const double tx_amp = std::sqrt(std::pow(10.0, (20.0 - 30.0) / 10.0));
   const Complex mts_part = tx_amp * link.MtsPathAmplitude(0) * achieved;
   // The measurement includes the environment on top of the MTS product.
@@ -159,18 +158,18 @@ TEST(OtaLinkTest, HalfSymbolOffsetAveragesAdjacentWeights) {
   // longer isolate one weight: it recovers the benign average of the two
   // adjacent weights (and still cancels the environment). Fig 11b's
   // corruption shows up as this weight mixing.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  OtaLink link(surface, QuietConfig());
-  const auto sched_a = UniformSchedule(surface, link, {80.0, 40.0}, 1);
-  const auto sched_b = UniformSchedule(surface, link, {-40.0, 70.0}, 1);
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  OtaLink link(graph, QuietConfig());
+  const auto sched_a = UniformSchedule(link, {80.0, 40.0}, 1);
+  const auto sched_b = UniformSchedule(link, {-40.0, 70.0}, 1);
   MtsSchedule schedule;
   for (int i = 0; i < 8; ++i) {
     schedule.push_back(i % 2 == 0 ? sched_a[0] : sched_b[0]);
   }
   std::vector<Complex> data(8, Complex{1.0, 0.0});
   Rng rng(13);
-  const auto aligned = link.TransmitSequence(data, schedule, 0.0, rng);
-  const auto offset = link.TransmitSequence(data, schedule, 0.5, rng);
+  const auto aligned = link.TransmitSequence(data, schedule, {}, 0.0, rng);
+  const auto offset = link.TransmitSequence(data, schedule, {}, 0.5, rng);
   for (std::size_t i = 2; i < 6; ++i) {
     // Mixed measurement: average of this symbol's and the previous
     // symbol's aligned measurements.
@@ -187,19 +186,19 @@ TEST(OtaLinkTest, HalfSymbolOffsetAveragesAdjacentWeights) {
 TEST(OtaLinkTest, IntegerSymbolOffsetShiftsSchedule) {
   // With an exactly one-symbol offset the MTS plays weight i-1 during
   // data symbol i.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  OtaLink link(surface, QuietConfig());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  OtaLink link(graph, QuietConfig());
   // Two alternating weights.
-  const auto sched_a = UniformSchedule(surface, link, {80.0, 40.0}, 1);
-  const auto sched_b = UniformSchedule(surface, link, {-40.0, 70.0}, 1);
+  const auto sched_a = UniformSchedule(link, {80.0, 40.0}, 1);
+  const auto sched_b = UniformSchedule(link, {-40.0, 70.0}, 1);
   MtsSchedule schedule;
   for (int i = 0; i < 6; ++i) {
     schedule.push_back(i % 2 == 0 ? sched_a[0] : sched_b[0]);
   }
   std::vector<Complex> data(6, Complex{1.0, 0.0});
   Rng rng(17);
-  const auto aligned = link.TransmitSequence(data, schedule, 0.0, rng);
-  const auto shifted = link.TransmitSequence(data, schedule, 1.0, rng);
+  const auto aligned = link.TransmitSequence(data, schedule, {}, 0.0, rng);
+  const auto shifted = link.TransmitSequence(data, schedule, {}, 1.0, rng);
   for (std::size_t i = 1; i < 6; ++i) {
     EXPECT_LT(std::abs(shifted(0, i) - aligned(0, i - 1)),
               std::abs(aligned(0, i - 1)) * 1e-6 + 1e-12)
@@ -208,15 +207,15 @@ TEST(OtaLinkTest, IntegerSymbolOffsetShiftsSchedule) {
 }
 
 TEST(OtaLinkTest, NoiseMatchesConfiguredFloor) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.budget.noise_floor_dbm = -80.0;
-  OtaLink link(surface, config);
+  OtaLink link(graph, config);
   // All-zero data: measurements are pure integrated noise.
-  const auto schedule = UniformSchedule(surface, link, {80.0, 40.0}, 400);
+  const auto schedule = UniformSchedule(link, {80.0, 40.0}, 400);
   std::vector<Complex> data(400, Complex{0.0, 0.0});
   Rng rng(19);
-  const auto z = link.TransmitSequence(data, schedule, 0.0, rng);
+  const auto z = link.TransmitSequence(data, schedule, {}, 0.0, rng);
   double power = 0.0;
   for (std::size_t i = 0; i < 400; ++i) power += std::norm(z(0, i));
   power /= 400.0;
@@ -224,29 +223,29 @@ TEST(OtaLinkTest, NoiseMatchesConfiguredFloor) {
 }
 
 TEST(OtaLinkTest, WallAttenuationReducesMtsPath) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
-  OtaLink clear_link(surface, config);
+  OtaLink clear_link(graph, config);
   config.environment.wall_attenuation_db = 12.0;
-  OtaLink walled_link(surface, config);
+  OtaLink walled_link(graph, config);
   EXPECT_NEAR(clear_link.MtsPathAmplitude(0) / walled_link.MtsPathAmplitude(0),
               std::pow(10.0, 12.0 / 20.0), 1e-9);
 }
 
 TEST(OtaLinkTest, NlosRemovesDirectEnvironmentPath) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.environment.profile = rf::CorridorProfile();
-  OtaLink los(surface, config);
+  OtaLink los(graph, config);
   config.environment.direct_tx_rx = false;
-  OtaLink nlos(surface, config);
+  OtaLink nlos(graph, config);
   // NLoS keeps scatter but drops the dominant direct term.
   EXPECT_LT(std::abs(nlos.EnvironmentResponse(0)),
             std::abs(los.EnvironmentResponse(0)));
 }
 
 TEST(OtaLinkTest, MultipleObservationsHaveDistinctSteering) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.observations.clear();
   config.observations.push_back({.freq_offset_hz = 0.0});
@@ -254,7 +253,7 @@ TEST(OtaLinkTest, MultipleObservationsHaveDistinctSteering) {
   mts::LinkGeometry other = DefaultGeometry();
   other.rx_angle_rad = rf::DegToRad(20.0);
   config.observations.push_back({.freq_offset_hz = 0.0, .geometry = other});
-  OtaLink link(surface, config);
+  OtaLink link(graph, config);
   EXPECT_EQ(link.num_observations(), 3u);
   const auto s0 = link.SteeringVector(0);
   const auto s1 = link.SteeringVector(1);
@@ -270,17 +269,17 @@ TEST(OtaLinkTest, MultipleObservationsHaveDistinctSteering) {
 }
 
 TEST(OtaLinkTest, PhaseNoisePerturbsMeasurements) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.mts_phase_noise_std = 0.2;
-  OtaLink noisy(surface, config);
-  OtaLink clean(surface, QuietConfig());
-  const auto schedule = UniformSchedule(surface, clean, {80.0, 40.0}, 4);
+  OtaLink noisy(graph, config);
+  OtaLink clean(graph, QuietConfig());
+  const auto schedule = UniformSchedule(clean, {80.0, 40.0}, 4);
   std::vector<Complex> data(4, Complex{1.0, 0.0});
   Rng rng_a(21);
   Rng rng_b(21);
-  const auto za = clean.TransmitSequence(data, schedule, 0.0, rng_a);
-  const auto zb = noisy.TransmitSequence(data, schedule, 0.0, rng_b);
+  const auto za = clean.TransmitSequence(data, schedule, {}, 0.0, rng_a);
+  const auto zb = noisy.TransmitSequence(data, schedule, {}, 0.0, rng_b);
   double diff = 0.0;
   for (std::size_t i = 0; i < 4; ++i) diff += std::abs(za(0, i) - zb(0, i));
   EXPECT_GT(diff, 0.0);
@@ -289,19 +288,19 @@ TEST(OtaLinkTest, PhaseNoisePerturbsMeasurements) {
 TEST(OtaLinkTest, InterfererR4IntermittentlyShadowsMtsPath) {
   // R4 shadowing is bursty: over a long transmission some symbols are
   // deeply attenuated, the rest untouched, and none amplified.
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = QuietConfig();
   config.environment.interferer = InterfererRegion::kR4;
-  OtaLink link(surface, config);
+  OtaLink link(graph, config);
   constexpr std::size_t kSymbols = 600;
   const auto schedule =
-      UniformSchedule(surface, link, {80.0, 40.0}, kSymbols);
+      UniformSchedule(link, {80.0, 40.0}, kSymbols);
   std::vector<Complex> data(kSymbols, Complex{1.0, 0.0});
   Rng rng(23);
-  const auto z = link.TransmitSequence(data, schedule, 0.0, rng);
-  OtaLink clear_link(surface, QuietConfig());
+  const auto z = link.TransmitSequence(data, schedule, {}, 0.0, rng);
+  OtaLink clear_link(graph, QuietConfig());
   Rng rng2(23);
-  const auto z_clear = clear_link.TransmitSequence(data, schedule, 0.0,
+  const auto z_clear = clear_link.TransmitSequence(data, schedule, {}, 0.0,
                                                    rng2);
   std::size_t shadowed = 0;
   for (std::size_t i = 0; i < kSymbols; ++i) {
@@ -317,32 +316,33 @@ TEST(OtaLinkTest, InterfererR4IntermittentlyShadowsMtsPath) {
 }
 
 TEST(OtaLinkTest, ValidatesArguments) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig bad = QuietConfig();
   bad.oversample = 3;
-  EXPECT_THROW(OtaLink(surface, bad), CheckError);
+  EXPECT_THROW(OtaLink(graph, bad), CheckError);
   bad = QuietConfig();
   bad.observations.clear();
-  EXPECT_THROW(OtaLink(surface, bad), CheckError);
+  EXPECT_THROW(OtaLink(graph, bad), CheckError);
 
-  OtaLink link(surface, QuietConfig());
+  OtaLink link(graph, QuietConfig());
   Rng rng(1);
   std::vector<Complex> data(2, Complex{1.0, 0.0});
   MtsSchedule wrong_len(1, std::vector<mts::PhaseCode>(256, 0));
-  EXPECT_THROW(link.TransmitSequence(data, wrong_len, 0.0, rng), CheckError);
+  EXPECT_THROW(link.TransmitSequence(data, wrong_len, {}, 0.0, rng),
+               CheckError);
   MtsSchedule wrong_atoms(2, std::vector<mts::PhaseCode>(8, 0));
-  EXPECT_THROW(link.TransmitSequence(data, wrong_atoms, 0.0, rng),
+  EXPECT_THROW(link.TransmitSequence(data, wrong_atoms, {}, 0.0, rng),
                CheckError);
 }
 
 TEST(OtaLinkTest, NominalSnrFallsWithDistance) {
-  mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig near_config = QuietConfig();
   near_config.budget.noise_floor_dbm = -65.0;
   OtaLinkConfig far_config = near_config;
   far_config.geometry.rx_distance_m = 12.0;
-  OtaLink near_link(surface, near_config);
-  OtaLink far_link(surface, far_config);
+  OtaLink near_link(graph, near_config);
+  OtaLink far_link(graph, far_config);
   EXPECT_GT(near_link.NominalSnrDb(), far_link.NominalSnrDb() + 10.0);
 }
 

@@ -219,13 +219,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PreparedLinkTest, SurfaceLinkWithInterfererR4) {
   // R4 draws the interferer's state per symbol from the transmission's
   // RNG; the plan must leave those draws where they were.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   OtaLinkConfig config = NoisyConfig();
   config.environment.interferer = InterfererRegion::kR4;
-  OtaLink prepared(surface, config);
-  const OtaLink twin(surface, config);
+  OtaLink prepared(graph, config);
+  const OtaLink twin(graph, config);
   Rng rng(47);
-  const MtsSchedule schedule = RandomSchedule(surface.num_atoms(), rng);
+  const MtsSchedule schedule = RandomSchedule(graph.front().num_atoms(), rng);
   ExpectPlanMatchesTwin(prepared, twin, schedule, LayerSchedules{}, 53);
 }
 
@@ -304,12 +304,12 @@ TEST(PreparedLinkTest, OtherScheduleObjectsTakeTheUnpreparedPath) {
 }
 
 TEST(PreparedLinkTest, PreparingAgainReplacesThePlan) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   const OtaLinkConfig config = NoisyConfig();
-  OtaLink prepared(surface, config);
-  const OtaLink twin(surface, config);
+  OtaLink prepared(graph, config);
+  const OtaLink twin(graph, config);
   Rng rng(97);
-  MtsSchedule schedule = RandomSchedule(surface.num_atoms(), rng);
+  MtsSchedule schedule = RandomSchedule(graph.front().num_atoms(), rng);
   prepared.Prepare(schedule, LayerSchedules{});
   Mutate(schedule);
   prepared.Prepare(schedule, LayerSchedules{});
@@ -342,14 +342,14 @@ TEST(PreparedLinkTest, CopiedLinkStartsWithoutPlans) {
 }
 
 TEST(PreparedLinkTest, ConcurrentPrepareCallsAreSafe) {
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   const OtaLinkConfig config = NoisyConfig();
-  OtaLink prepared(surface, config);
-  const OtaLink twin(surface, config);
+  OtaLink prepared(graph, config);
+  const OtaLink twin(graph, config);
   Rng rng(109);
   std::vector<MtsSchedule> rounds;
   for (int r = 0; r < 16; ++r) {
-    rounds.push_back(RandomSchedule(surface.num_atoms(), rng));
+    rounds.push_back(RandomSchedule(graph.front().num_atoms(), rng));
   }
   const par::ScopedThreadCount threads(4);
   const LayerSchedules no_upper;
@@ -430,9 +430,9 @@ TEST(PreparedDeploymentTest, CopiesAndMovesStayOnTheirOwnSchedules) {
   const core::TrainedModel model = TinyModel();
   const auto ds =
       data::MakeMnistLike({.train_per_class = 1, .test_per_class = 1});
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
   auto original =
-      std::make_unique<core::Deployment>(model, surface, NoisyConfig());
+      std::make_unique<core::Deployment>(model, graph, NoisyConfig());
   Rng reference_rng(127);
   const std::vector<double> reference =
       original->ClassScores(ds.test.features[0], -0.35, reference_rng);
@@ -444,7 +444,7 @@ TEST(PreparedDeploymentTest, CopiesAndMovesStayOnTheirOwnSchedules) {
   Rng copy_rng(127);
   EXPECT_EQ(copy.ClassScores(ds.test.features[0], -0.35, copy_rng),
             reference);
-  const OtaLink twin(surface, copy.link().config());
+  const OtaLink twin(graph, copy.link().config());
   Rng twin_rng(127);
   EXPECT_EQ(UnpreparedScores(copy, twin, ds.test.features[0], -0.35,
                              twin_rng),

@@ -169,8 +169,7 @@ std::shared_ptr<const fault::FaultInjector> MakeFaults(const Args& args,
 }
 
 // --depth K stacks K default panels into a SIM cascade (K-1 upstream
-// layers at --coupling gain each); depth 1 is the legacy single surface,
-// bit for bit.
+// layers at --coupling gain each); depth 1 is the single panel.
 mts::LayerGraph MakeGraph(const Args& args) {
   const auto depth =
       static_cast<std::size_t>(std::stoull(args.Get("depth", "1")));
@@ -325,8 +324,8 @@ int Quickstart(const Args& args) {
               100.0 * core::EvaluateDigital(model, dataset.test));
 
   // Deploy on the default link and check the pattern-switching budget.
-  const mts::Metasurface surface{mts::MetasurfaceSpec{}};
-  const core::Deployment deployment(model, surface, DefaultLink());
+  const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
+  const core::Deployment deployment(model, graph, DefaultLink());
   const auto& rounds = deployment.schedules().rounds;
   const std::size_t patterns = rounds.size() * rounds.front().size();
   const mts::Controller controller;
@@ -647,7 +646,7 @@ int Usage() {
       "invalid --simd or METAAI_SIMD values are hard errors).\n"
       "--depth stacks K programmable surfaces as a SIM cascade (deploy,\n"
       "ota); the K-1 upstream layers each contribute --coupling focus\n"
-      "gain (default 1.3). --depth 1 is the single-panel legacy path.\n"
+      "gain (default 1.3). --depth 1 is the single panel.\n"
       "--metrics-out writes the run's telemetry (metaai.obs.v1 JSON),\n"
       "--trace-out a Chrome-trace JSON of the spans (chrome://tracing /\n"
       "Perfetto), --probes-out a metaai.probes.v1 JSONL flight-recorder\n"
