@@ -36,6 +36,7 @@
 #include "mts/controller.h"
 #include "mts/layer_graph.h"
 #include "obs/alerts.h"
+#include "obs/export.h"
 #include "obs/lifecycle.h"
 #include "obs/timeseries.h"
 #include "serve/generator.h"
@@ -344,13 +345,11 @@ int Run(BenchReport& report) {
         reference_timeseries = timeseries_jsonl;
         reference_alerts = alerts_jsonl;
         if (const char* dir = std::getenv("METAAI_BENCH_OUT")) {
-          obs::WriteRequestsFile(result.request_log,
-                                 std::string(dir) + "/REQUESTS_fleet.jsonl");
-          obs::WriteTimeSeriesFile(
-              result.timeseries,
-              std::string(dir) + "/TIMESERIES_fleet.jsonl");
-          obs::health::WriteAlertsFile(
-              result.alerts, std::string(dir) + "/ALERTS_fleet.jsonl");
+          const std::string prefix(dir);
+          obs::WriteTextFile(prefix + "/REQUESTS_fleet.jsonl", requests_jsonl);
+          obs::WriteTextFile(prefix + "/TIMESERIES_fleet.jsonl",
+                             timeseries_jsonl);
+          obs::WriteTextFile(prefix + "/ALERTS_fleet.jsonl", alerts_jsonl);
         }
       } else if (Predictions(result.responses) != reference ||
                  requests_jsonl != reference_requests ||

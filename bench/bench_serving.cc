@@ -35,6 +35,7 @@
 #include "mts/config_cache.h"
 #include "mts/layer_graph.h"
 #include "obs/alerts.h"
+#include "obs/export.h"
 #include "obs/lifecycle.h"
 #include "obs/timeseries.h"
 #include "serve/generator.h"
@@ -223,13 +224,13 @@ int Run(BenchReport& report) {
       // Export the serial run's lifecycle traces and time series next
       // to the BENCH json so the obs-report tool can render them.
       if (const char* dir = std::getenv("METAAI_BENCH_OUT")) {
-        obs::WriteRequestsFile(result.request_log,
-                               std::string(dir) + "/REQUESTS_serving.jsonl");
-        obs::WriteTimeSeriesFile(
-            result.timeseries,
-            std::string(dir) + "/TIMESERIES_serving.jsonl");
-        obs::health::WriteAlertsFile(
-            result.alerts, std::string(dir) + "/ALERTS_serving.jsonl");
+        const std::string prefix(dir);
+        obs::WriteTextFile(prefix + "/REQUESTS_serving.jsonl",
+                           obs::ToRequestsJsonl(result.request_log));
+        obs::WriteTextFile(prefix + "/TIMESERIES_serving.jsonl",
+                           obs::ToTimeSeriesJsonl(result.timeseries));
+        obs::WriteTextFile(prefix + "/ALERTS_serving.jsonl",
+                           obs::health::ToAlertsJsonl(result.alerts));
       }
     } else {
       if (Predictions(result) != reference) {

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -60,10 +59,7 @@ class BenchReport {
     obs::SetRegistry(previous_registry_);
     if (const char* dir = std::getenv("METAAI_BENCH_OUT"); dir != nullptr) {
       const std::string path = std::string(dir) + "/BENCH_" + name_ + ".json";
-      std::ofstream out(path);
-      if (out.good()) {
-        out << ToJson();
-      } else {
+      if (!obs::WriteTextFile(path, ToJson())) {
         std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       }
     }
@@ -86,17 +82,17 @@ class BenchReport {
             .count();
     std::ostringstream os;
     os << "{\n  \"schema\": \"metaai.bench.v1\",\n  \"bench\": "
-       << Quote(name_) << ",\n  \"elapsed_s\": " << elapsed_s
+       << obs::JsonString(name_) << ",\n  \"elapsed_s\": " << elapsed_s
        << ",\n  \"headlines\": {";
     for (std::size_t i = 0; i < headlines_.size(); ++i) {
-      os << (i > 0 ? ", " : "") << Quote(headlines_[i].first) << ": "
-         << headlines_[i].second;
+      os << (i > 0 ? ", " : "") << obs::JsonString(headlines_[i].first)
+         << ": " << headlines_[i].second;
     }
     os << "},\n  \"tables\": [";
     for (std::size_t i = 0; i < tables_.size(); ++i) {
       const CapturedTable& table = tables_[i];
       os << (i > 0 ? ",\n    " : "\n    ") << "{\"title\": "
-         << Quote(table.title) << ", \"headers\": ";
+         << obs::JsonString(table.title) << ", \"headers\": ";
       WriteStrings(os, table.headers);
       os << ", \"rows\": [";
       for (std::size_t r = 0; r < table.rows.size(); ++r) {
@@ -117,21 +113,11 @@ class BenchReport {
     std::vector<std::vector<std::string>> rows;
   };
 
-  static std::string Quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
-  }
-
   static void WriteStrings(std::ostream& os,
                            const std::vector<std::string>& values) {
     os << '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
-      os << (i > 0 ? ", " : "") << Quote(values[i]);
+      os << (i > 0 ? ", " : "") << obs::JsonString(values[i]);
     }
     os << ']';
   }

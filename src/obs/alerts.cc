@@ -1,8 +1,6 @@
 #include "obs/alerts.h"
 
 #include <cmath>
-#include <fstream>
-#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -198,7 +196,8 @@ std::vector<AlertRule> DefaultLinkHealthRules() {
   return rules;
 }
 
-void WriteAlertsJsonl(const std::vector<Alert>& alerts, std::ostream& os) {
+std::string ToAlertsJsonl(const std::vector<Alert>& alerts) {
+  std::ostringstream os;
   os << "{\"schema\":\"metaai.alerts.v1\",\"count\":" << alerts.size()
      << "}\n";
   for (const Alert& alert : alerts) {
@@ -211,68 +210,24 @@ void WriteAlertsJsonl(const std::vector<Alert>& alerts, std::ostream& os) {
        << ",\"threshold\":" << JsonNumber(alert.threshold)
        << ",\"tenant\":" << alert.tenant << "}\n";
   }
-}
-
-std::string ToAlertsJsonl(const std::vector<Alert>& alerts) {
-  std::ostringstream os;
-  WriteAlertsJsonl(alerts, os);
   return os.str();
 }
 
-bool WriteAlertsFile(const std::vector<Alert>& alerts,
-                     const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  WriteAlertsJsonl(alerts, os);
-  return os.good();
-}
-
 std::vector<Alert> AlertsFromJsonl(std::string_view text) {
-  Check(!text.empty(), "metaai.alerts.v1: empty document");
-  std::vector<std::string_view> lines;
-  while (!text.empty()) {
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string_view::npos) {
-      lines.push_back(text);
-      break;
-    }
-    lines.push_back(text.substr(0, eol));
-    text.remove_prefix(eol + 1);
-  }
-  const JsonValue header = ParseJson(lines[0]);
-  const JsonValue* schema = header.Find("schema");
-  Check(schema != nullptr && schema->string == "metaai.alerts.v1",
-        "metaai.alerts.v1: bad schema header");
-  const JsonValue* count = header.Find("count");
-  Check(count != nullptr, "metaai.alerts.v1: missing count");
-  Check(lines.size() == static_cast<std::size_t>(count->number) + 1,
-        "metaai.alerts.v1: count does not match record lines");
+  const JsonlDocument document = ParseJsonl(text, "metaai.alerts.v1");
   std::vector<Alert> alerts;
-  alerts.reserve(lines.size() - 1);
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const JsonValue record = ParseJson(lines[i]);
-    const JsonValue* seq = record.Find("seq");
-    const JsonValue* t_s = record.Find("t_s");
-    const JsonValue* kind = record.Find("kind");
-    const JsonValue* severity = record.Find("severity");
-    const JsonValue* rule = record.Find("rule");
-    const JsonValue* signal = record.Find("signal");
-    const JsonValue* value = record.Find("value");
-    const JsonValue* threshold = record.Find("threshold");
-    const JsonValue* tenant = record.Find("tenant");
-    Check(seq != nullptr && t_s != nullptr && kind != nullptr &&
-              severity != nullptr && rule != nullptr && signal != nullptr &&
-              value != nullptr && threshold != nullptr && tenant != nullptr,
-          "metaai.alerts.v1: record is missing fields");
-    alerts.push_back({.seq = static_cast<std::uint64_t>(seq->number),
-                      .t_s = t_s->number,
-                      .kind = KindFromName(kind->string),
-                      .severity = SeverityFromName(severity->string),
-                      .rule = rule->string,
-                      .signal = signal->string,
-                      .value = value->number,
-                      .threshold = threshold->number,
-                      .tenant = static_cast<std::int32_t>(tenant->number)});
+  alerts.reserve(document.records.size());
+  for (const JsonValue& record : document.records) {
+    alerts.push_back(
+        {.seq = JsonInteger<std::uint64_t>(Member(record, "seq")),
+         .t_s = Member(record, "t_s").number,
+         .kind = KindFromName(Member(record, "kind").string),
+         .severity = SeverityFromName(Member(record, "severity").string),
+         .rule = Member(record, "rule").string,
+         .signal = Member(record, "signal").string,
+         .value = Member(record, "value").number,
+         .threshold = Member(record, "threshold").number,
+         .tenant = JsonInteger<std::int32_t>(Member(record, "tenant"))});
   }
   return alerts;
 }

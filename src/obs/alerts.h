@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -159,14 +158,10 @@ std::vector<AlertRule> DefaultLinkHealthRules();
 ///    "rule":"<rule>","signal":"<signal>","value":V,"threshold":H,
 ///    "tenant":N}
 /// Identical alert vectors serialize to identical bytes.
-void WriteAlertsJsonl(const std::vector<Alert>& alerts, std::ostream& os);
 std::string ToAlertsJsonl(const std::vector<Alert>& alerts);
-/// Convenience: write to `path`. Returns false on I/O failure.
-bool WriteAlertsFile(const std::vector<Alert>& alerts,
-                     const std::string& path);
 
 /// Parses a "metaai.alerts.v1" document (the inverse of
-/// WriteAlertsJsonl). Throws CheckError on schema mismatch or malformed
+/// ToAlertsJsonl). Throws CheckError on schema mismatch or malformed
 /// lines.
 std::vector<Alert> AlertsFromJsonl(std::string_view text);
 

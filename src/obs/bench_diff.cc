@@ -9,12 +9,6 @@
 namespace metaai::obs {
 namespace {
 
-const JsonValue& Member(const JsonValue& object, std::string_view key) {
-  const JsonValue* value = object.Find(key);
-  Check(value != nullptr, "missing JSON member: " + std::string(key));
-  return *value;
-}
-
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;

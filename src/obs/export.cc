@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cmath>
@@ -18,8 +19,9 @@ namespace metaai::obs {
 // exponent, everything else via %.17g.
 std::string JsonNumber(double value) {
   char buffer[64];
-  if (value == static_cast<double>(static_cast<std::int64_t>(value)) &&
-      std::abs(value) < 1e15) {
+  // Range test first: casting a double outside int64's range is UB.
+  if (std::abs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<std::int64_t>(value))) {
     std::snprintf(buffer, sizeof(buffer), "%" PRId64,
                   static_cast<std::int64_t>(value));
   } else {
@@ -84,8 +86,8 @@ void WriteDoubleArray(std::ostream& os, std::span<const double> values) {
 
 }  // namespace
 
-void WriteJson(const RegistrySnapshot& snapshot, std::ostream& os,
-               const Tracer* tracer) {
+std::string ToJson(const RegistrySnapshot& snapshot, const Tracer* tracer) {
+  std::ostringstream os;
   os << "{\n  \"schema\": \"metaai.obs.v1\",\n  \"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     const auto& [name, value] = snapshot.counters[i];
@@ -132,27 +134,15 @@ void WriteJson(const RegistrySnapshot& snapshot, std::ostream& os,
     os << (spans.empty() ? "" : "\n  ") << "]";
   }
   os << "\n}\n";
-}
-
-std::string ToJson(const RegistrySnapshot& snapshot, const Tracer* tracer) {
-  std::ostringstream os;
-  WriteJson(snapshot, os, tracer);
   return os.str();
 }
 
-bool WriteJsonFile(const Registry& registry, const std::string& path,
-                   const Tracer* tracer) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  WriteJson(registry.Snapshot(), os, tracer);
-  return os.good();
-}
-
-void WriteChromeTrace(const Tracer& tracer, std::ostream& os) {
+std::string ToChromeTrace(const Tracer& tracer) {
   // Trace Event Format timestamps and durations are microseconds.
   // Closed spans become complete ("X") events; a span still open at
   // export time becomes a begin ("B") event so the flamegraph shows it
   // running to the end of the trace.
+  std::ostringstream os;
   os << "[";
   const auto& spans = tracer.spans();
   for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -173,22 +163,11 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& os) {
     os << "}}";
   }
   os << (spans.empty() ? "" : "\n") << "]\n";
-}
-
-std::string ToChromeTrace(const Tracer& tracer) {
-  std::ostringstream os;
-  WriteChromeTrace(tracer, os);
   return os.str();
 }
 
-bool WriteChromeTraceFile(const Tracer& tracer, const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  WriteChromeTrace(tracer, os);
-  return os.good();
-}
-
-void WriteCsv(const RegistrySnapshot& snapshot, std::ostream& os) {
+std::string ToCsv(const RegistrySnapshot& snapshot) {
+  std::ostringstream os;
   os << "name,kind,value,count,sum,p50,p95\n";
   for (const auto& [name, value] : snapshot.counters) {
     os << name << ",counter," << value << ",,,,\n";
@@ -201,12 +180,15 @@ void WriteCsv(const RegistrySnapshot& snapshot, std::ostream& os) {
        << ',' << JsonNumber(Percentile(h, 50.0)) << ','
        << JsonNumber(Percentile(h, 95.0)) << '\n';
   }
+  return os.str();
 }
 
-std::string ToCsv(const RegistrySnapshot& snapshot) {
-  std::ostringstream os;
-  WriteCsv(snapshot, os);
-  return os.str();
+bool WriteTextFile(const std::string& path, std::string_view text) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os.good()) return false;
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  os.close();
+  return !os.fail();
 }
 
 Table SummaryTable(const RegistrySnapshot& snapshot) {
@@ -238,7 +220,7 @@ class JsonParser {
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue Parse() {
-    JsonValue value = ParseValue();
+    JsonValue value = ParseValue(/*depth=*/0);
     SkipWhitespace();
     Check(pos_ == text_.size(), "trailing characters after JSON value");
     return value;
@@ -269,14 +251,15 @@ class JsonParser {
     return true;
   }
 
-  JsonValue ParseValue() {
+  /// `depth` counts the arrays/objects enclosing this value.
+  JsonValue ParseValue(std::size_t depth) {
     const char c = Peek();
     JsonValue value;
     switch (c) {
       case '{':
-        return ParseObject();
+        return ParseObject(depth + 1);
       case '[':
-        return ParseArray();
+        return ParseArray(depth + 1);
       case '"':
         value.type = JsonValue::Type::kString;
         value.string = ParseString();
@@ -300,7 +283,14 @@ class JsonParser {
     }
   }
 
-  JsonValue ParseObject() {
+  /// Bounding the nesting keeps hostile input from recursing the parser
+  /// off the stack.
+  static void CheckDepth(std::size_t depth) {
+    Check(depth <= kMaxJsonDepth, "JSON nesting exceeds kMaxJsonDepth");
+  }
+
+  JsonValue ParseObject(std::size_t depth) {
+    CheckDepth(depth);
     Expect('{');
     JsonValue value;
     value.type = JsonValue::Type::kObject;
@@ -312,7 +302,7 @@ class JsonParser {
       Check(Peek() == '"', "JSON object key must be a string");
       std::string key = ParseString();
       Expect(':');
-      value.object.emplace_back(std::move(key), ParseValue());
+      value.object.emplace_back(std::move(key), ParseValue(depth));
       const char next = Peek();
       ++pos_;
       if (next == '}') return value;
@@ -320,7 +310,8 @@ class JsonParser {
     }
   }
 
-  JsonValue ParseArray() {
+  JsonValue ParseArray(std::size_t depth) {
+    CheckDepth(depth);
     Expect('[');
     JsonValue value;
     value.type = JsonValue::Type::kArray;
@@ -329,7 +320,7 @@ class JsonParser {
       return value;
     }
     while (true) {
-      value.array.push_back(ParseValue());
+      value.array.push_back(ParseValue(depth));
       const char next = Peek();
       ++pos_;
       if (next == ']') return value;
@@ -372,6 +363,9 @@ class JsonParser {
         case 'u': {
           Check(pos_ + 4 <= text_.size(), "truncated \\u escape");
           const std::string hex(text_.substr(pos_, 4));
+          Check(std::all_of(hex.begin(), hex.end(),
+                            [](unsigned char d) { return std::isxdigit(d); }),
+                "non-hex digit in \\u escape");
           pos_ += 4;
           out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
           break;
@@ -405,10 +399,17 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-const JsonValue& Member(const JsonValue& object, std::string_view key) {
-  const JsonValue* value = object.Find(key);
-  Check(value != nullptr, "missing JSON member: " + std::string(key));
-  return *value;
+/// The one JSONL line splitter: `text` split on '\n', dropping the
+/// empty piece after a trailing newline.
+std::vector<std::string_view> Lines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  while (!text.empty()) {
+    const std::size_t eol = text.find('\n');
+    lines.push_back(text.substr(0, eol));
+    if (eol == std::string_view::npos) break;
+    text.remove_prefix(eol + 1);
+  }
+  return lines;
 }
 
 }  // namespace
@@ -425,6 +426,43 @@ JsonValue ParseJson(std::string_view text) {
   return JsonParser(text).Parse();
 }
 
+const JsonValue& Member(const JsonValue& object, std::string_view key) {
+  const JsonValue* value = object.Find(key);
+  Check(value != nullptr, "missing JSON member: " + std::string(key));
+  return *value;
+}
+
+double CheckedJsonInteger(const JsonValue& value, double lo,
+                          double hi_exclusive) {
+  Check(value.type == JsonValue::Type::kNumber,
+        "JSON integer field is not a number");
+  // The comparisons are false for NaN, so NaN fails the range check.
+  Check(value.number >= lo && value.number < hi_exclusive &&
+            value.number == std::floor(value.number),
+        "JSON integer field is not an in-range integer");
+  return value.number;
+}
+
+JsonlDocument ParseJsonl(std::string_view text, std::string_view schema) {
+  const std::string prefix = std::string(schema) + ": ";
+  const std::vector<std::string_view> lines = Lines(text);
+  Check(!lines.empty(), prefix + "empty document");
+  JsonlDocument document;
+  document.header = ParseJson(lines[0]);
+  const JsonValue* name = document.header.Find("schema");
+  Check(name != nullptr && name->string == schema,
+        prefix + "bad schema header");
+  if (const JsonValue* count = document.header.Find("count")) {
+    Check(JsonInteger<std::size_t>(*count) == lines.size() - 1,
+          prefix + "count does not match record lines");
+  }
+  document.records.reserve(lines.size() - 1);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    document.records.push_back(ParseJson(lines[i]));
+  }
+  return document;
+}
+
 RegistrySnapshot SnapshotFromJson(const JsonValue& document) {
   Check(document.type == JsonValue::Type::kObject,
         "telemetry document must be a JSON object");
@@ -434,8 +472,7 @@ RegistrySnapshot SnapshotFromJson(const JsonValue& document) {
 
   RegistrySnapshot snapshot;
   for (const auto& [name, value] : Member(document, "counters").object) {
-    snapshot.counters.emplace_back(
-        name, static_cast<std::uint64_t>(value.number));
+    snapshot.counters.emplace_back(name, JsonInteger<std::uint64_t>(value));
   }
   for (const auto& [name, value] : Member(document, "gauges").object) {
     snapshot.gauges.emplace_back(name, value.number);
@@ -446,11 +483,21 @@ RegistrySnapshot SnapshotFromJson(const JsonValue& document) {
     for (const JsonValue& edge : Member(value, "upper_edges").array) {
       h.upper_edges.push_back(edge.number);
     }
+    std::uint64_t total = 0;
     for (const JsonValue& count : Member(value, "bucket_counts").array) {
-      h.bucket_counts.push_back(static_cast<std::uint64_t>(count.number));
+      const auto bucket = JsonInteger<std::uint64_t>(count);
+      Check(bucket <= std::numeric_limits<std::uint64_t>::max() - total,
+            "histogram bucket counts overflow: " + name);
+      h.bucket_counts.push_back(bucket);
+      total += bucket;
     }
-    h.count = static_cast<std::uint64_t>(Member(value, "count").number);
+    h.count = JsonInteger<std::uint64_t>(Member(value, "count"));
     h.sum = Member(value, "sum").number;
+    // Percentile walks bucket_counts against upper_edges; a mismatched
+    // shape would read past the edges.
+    Check(h.bucket_counts.size() == h.upper_edges.size() + 1,
+          "histogram needs one more bucket count than upper edges: " + name);
+    Check(h.count == total, "histogram count != sum(bucket_counts): " + name);
     snapshot.histograms.emplace_back(name, std::move(h));
   }
   return snapshot;

@@ -1,38 +1,11 @@
 #include "obs/lifecycle.h"
 
-#include <fstream>
-#include <ostream>
 #include <sstream>
 
 #include "common/check.h"
 #include "obs/export.h"
 
 namespace metaai::obs {
-namespace {
-
-/// Splits `text` into lines, dropping a trailing empty line.
-std::vector<std::string_view> Lines(std::string_view text) {
-  std::vector<std::string_view> lines;
-  while (!text.empty()) {
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string_view::npos) {
-      lines.push_back(text);
-      break;
-    }
-    lines.push_back(text.substr(0, eol));
-    text.remove_prefix(eol + 1);
-  }
-  return lines;
-}
-
-const JsonValue& Member(const JsonValue& object, std::string_view key) {
-  const JsonValue* value = object.Find(key);
-  Check(value != nullptr,
-        "metaai.requests.v1: missing member \"" + std::string(key) + "\"");
-  return *value;
-}
-
-}  // namespace
 
 std::string_view RequestStageName(RequestStage stage) {
   switch (stage) {
@@ -74,7 +47,8 @@ StageTails DigestStages(std::span<const RequestTrace> traces) {
   return tails;
 }
 
-void WriteRequestsJsonl(const RequestLog& log, std::ostream& os) {
+std::string ToRequestsJsonl(const RequestLog& log) {
+  std::ostringstream os;
   os << "{\"schema\":\"metaai.requests.v1\",\"tenants\":[";
   for (std::size_t i = 0; i < log.tenants.size(); ++i) {
     os << (i > 0 ? "," : "") << JsonString(log.tenants[i]);
@@ -90,42 +64,20 @@ void WriteRequestsJsonl(const RequestLog& log, std::ostream& os) {
     }
     os << "],\"energy_j\":" << JsonNumber(trace.energy_j) << "}\n";
   }
-}
-
-std::string ToRequestsJsonl(const RequestLog& log) {
-  std::ostringstream os;
-  WriteRequestsJsonl(log, os);
   return os.str();
 }
 
-bool WriteRequestsFile(const RequestLog& log, const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  WriteRequestsJsonl(log, os);
-  return os.good();
-}
-
 RequestLog ParseRequestsJsonl(std::string_view text) {
-  const std::vector<std::string_view> lines = Lines(text);
-  Check(!lines.empty(), "metaai.requests.v1: empty document");
-  const JsonValue header = ParseJson(lines[0]);
-  const JsonValue* schema = header.Find("schema");
-  Check(schema != nullptr && schema->string == "metaai.requests.v1",
-        "metaai.requests.v1: bad schema header");
+  const JsonlDocument document = ParseJsonl(text, "metaai.requests.v1");
   RequestLog log;
-  for (const JsonValue& tenant : Member(header, "tenants").array) {
+  for (const JsonValue& tenant : Member(document.header, "tenants").array) {
     log.tenants.push_back(tenant.string);
   }
-  const std::size_t count =
-      static_cast<std::size_t>(Member(header, "count").number);
-  Check(lines.size() == count + 1,
-        "metaai.requests.v1: count does not match record lines");
-  log.traces.reserve(count);
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const JsonValue record = ParseJson(lines[i]);
+  log.traces.reserve(document.records.size());
+  for (const JsonValue& record : document.records) {
     RequestTrace trace;
-    trace.id = static_cast<std::uint64_t>(Member(record, "id").number);
-    trace.tenant = static_cast<std::uint32_t>(Member(record, "tenant").number);
+    trace.id = JsonInteger<std::uint64_t>(Member(record, "id"));
+    trace.tenant = JsonInteger<std::uint32_t>(Member(record, "tenant"));
     Check(trace.tenant < log.tenants.size(),
           "metaai.requests.v1: tenant index out of range");
     trace.cache_hit = Member(record, "cache_hit").boolean;

@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -109,10 +108,7 @@ StageTails DigestStages(std::span<const RequestTrace> traces);
 ///   {"id":I,"tenant":T,"cache_hit":B,"arrival_s":A,"slo_s":S,
 ///    "stage_s":[6 numbers],"energy_j":E}
 /// Identical logs serialize to identical bytes.
-void WriteRequestsJsonl(const RequestLog& log, std::ostream& os);
 std::string ToRequestsJsonl(const RequestLog& log);
-/// Convenience: write to `path`. Returns false on I/O failure.
-bool WriteRequestsFile(const RequestLog& log, const std::string& path);
 
 /// Parses a "metaai.requests.v1" document; throws CheckError on schema
 /// mismatch or malformed lines.

@@ -1,7 +1,5 @@
 #include "obs/probe.h"
 
-#include <fstream>
-#include <ostream>
 #include <sstream>
 
 #include "common/check.h"
@@ -99,8 +97,9 @@ void ProbeSink::Clear() {
   head_ = 0;
 }
 
-void WriteProbesJsonl(const ProbeSink& sink, std::ostream& os) {
+std::string ToProbesJsonl(const ProbeSink& sink) {
   const std::vector<ProbeRecord> records = sink.Snapshot();
+  std::ostringstream os;
   os << "{\"schema\":\"metaai.probes.v1\",\"capacity\":" << sink.capacity()
      << ",\"total\":" << sink.total() << ",\"dropped\":" << sink.dropped()
      << "}\n";
@@ -123,19 +122,7 @@ void WriteProbesJsonl(const ProbeSink& sink, std::ostream& os) {
     }
     os << "}\n";
   }
-}
-
-std::string ToProbesJsonl(const ProbeSink& sink) {
-  std::ostringstream os;
-  WriteProbesJsonl(sink, os);
   return os.str();
-}
-
-bool WriteProbesFile(const ProbeSink& sink, const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  WriteProbesJsonl(sink, os);
-  return os.good();
 }
 
 }  // namespace metaai::obs

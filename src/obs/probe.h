@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -114,9 +113,6 @@ class ProbeSink {
 ///    "values":{...}[,"series":[...]]}
 /// ("series" is omitted when empty.) Identical sink contents serialize
 /// to identical bytes.
-void WriteProbesJsonl(const ProbeSink& sink, std::ostream& os);
 std::string ToProbesJsonl(const ProbeSink& sink);
-/// Convenience: write to `path`. Returns false on I/O failure.
-bool WriteProbesFile(const ProbeSink& sink, const std::string& path);
 
 }  // namespace metaai::obs

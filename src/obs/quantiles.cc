@@ -36,14 +36,6 @@ std::optional<double> TryNearestRankPercentile(std::span<const double> values,
   return SortedNearestRank(sorted, q);
 }
 
-double NearestRankPercentile(std::span<const double> values, double q) {
-  Check(!values.empty(),
-        "nearest-rank percentile of an empty sample (use "
-        "TryNearestRankPercentile to handle emptiness explicitly)");
-  const std::vector<double> sorted = SortedCopy(values);
-  return SortedNearestRank(sorted, q);
-}
-
 std::optional<std::vector<double>> TryNearestRankPercentiles(
     std::span<const double> values, std::span<const double> qs) {
   if (values.empty()) return std::nullopt;
@@ -53,14 +45,6 @@ std::optional<std::vector<double>> TryNearestRankPercentiles(
     results[i] = SortedNearestRank(sorted, qs[i]);
   }
   return results;
-}
-
-std::vector<double> NearestRankPercentiles(std::span<const double> values,
-                                           std::span<const double> qs) {
-  Check(!values.empty(),
-        "nearest-rank percentiles of an empty sample (use "
-        "TryNearestRankPercentiles to handle emptiness explicitly)");
-  return *TryNearestRankPercentiles(values, qs);
 }
 
 TailDigest DigestTails(std::span<const double> values) {

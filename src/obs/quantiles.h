@@ -15,10 +15,9 @@
 // Empty samples: an empty sample has no percentile, and silently
 // reporting 0.0 is indistinguishable from a true zero (the historical
 // bug: an idle tenant's "p50 latency 0.0s" read as infinitely fast).
-// The Try variants make emptiness explicit (nullopt); the non-Try forms
-// treat an empty sample as a caller bug and throw CheckError. TailDigest
-// carries the sample count so renderers can count-gate ("n/a" instead
-// of a fabricated 0).
+// The Try forms make emptiness explicit (nullopt); a caller that knows
+// its sample is non-empty takes .value(). TailDigest carries the sample
+// count so renderers can count-gate ("n/a" instead of a fabricated 0).
 #pragma once
 
 #include <optional>
@@ -32,19 +31,11 @@ namespace metaai::obs {
 std::optional<double> TryNearestRankPercentile(std::span<const double> values,
                                                double q);
 
-/// As TryNearestRankPercentile, but an empty sample throws CheckError —
-/// use when the caller has already established the sample is non-empty.
-double NearestRankPercentile(std::span<const double> values, double q);
-
 /// Batch of nearest-rank percentiles from one sort of `values`:
 /// results[i] corresponds to qs[i]; nullopt for an empty sample. Prefer
 /// this over repeated single calls (each re-copies and re-sorts).
 std::optional<std::vector<double>> TryNearestRankPercentiles(
     std::span<const double> values, std::span<const double> qs);
-
-/// As TryNearestRankPercentiles, but an empty sample throws CheckError.
-std::vector<double> NearestRankPercentiles(std::span<const double> values,
-                                           std::span<const double> qs);
 
 /// The standard tail readout: p50/p99/p999 from one sort, plus the
 /// sample count. count == 0 means "no sample": the percentile fields

@@ -5,7 +5,6 @@
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -106,43 +105,18 @@ void RenderRequests(const std::string& requests_jsonl, std::ostream& os) {
 }
 
 void RenderProbes(const std::string& probes_jsonl, std::ostream& os) {
-  std::string_view text = probes_jsonl;
-  std::vector<std::string_view> lines;
-  while (!text.empty()) {
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string_view::npos) {
-      lines.push_back(text);
-      break;
-    }
-    lines.push_back(text.substr(0, eol));
-    text.remove_prefix(eol + 1);
-  }
-  Check(!lines.empty(), "metaai.probes.v1: empty document");
-  const JsonValue header = ParseJson(lines[0]);
-  const JsonValue* schema = header.Find("schema");
-  Check(schema != nullptr && schema->string == "metaai.probes.v1",
-        "metaai.probes.v1: bad schema header");
-  const JsonValue* total = header.Find("total");
-  const JsonValue* dropped = header.Find("dropped");
-  Check(total != nullptr && dropped != nullptr,
-        "metaai.probes.v1: header needs total/dropped");
+  const JsonlDocument document = ParseJsonl(probes_jsonl, "metaai.probes.v1");
+  const JsonValue& header = document.header;
+  const auto total = JsonInteger<std::uint64_t>(Member(header, "total"));
+  const auto dropped = JsonInteger<std::uint64_t>(Member(header, "dropped"));
 
   std::map<std::pair<std::string, std::string>, std::size_t> counts;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const JsonValue record = ParseJson(lines[i]);
-    const JsonValue* site = record.Find("site");
-    const JsonValue* kind = record.Find("kind");
-    Check(site != nullptr && kind != nullptr,
-          "metaai.probes.v1: record needs site and kind");
-    ++counts[{site->string, kind->string}];
+  for (const JsonValue& record : document.records) {
+    ++counts[{Member(record, "site").string, Member(record, "kind").string}];
   }
 
-  Table probes("Probes (total " +
-                   std::to_string(static_cast<std::uint64_t>(total->number)) +
-                   ", dropped " +
-                   std::to_string(
-                       static_cast<std::uint64_t>(dropped->number)) +
-                   ")",
+  Table probes("Probes (total " + std::to_string(total) + ", dropped " +
+                   std::to_string(dropped) + ")",
                {"site", "kind", "count"});
   for (const auto& [key, count] : counts) {
     probes.AddRow({key.first, key.second, std::to_string(count)});

@@ -1,8 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <fstream>
-#include <ostream>
 #include <sstream>
 
 #include "common/check.h"
@@ -17,8 +15,8 @@ double TimeSeriesPoint::Value(std::string_view key) const {
   return 0.0;
 }
 
-void WriteTimeSeriesJsonl(std::span<const TimeSeriesPoint> points,
-                          std::ostream& os) {
+std::string ToTimeSeriesJsonl(std::span<const TimeSeriesPoint> points) {
+  std::ostringstream os;
   os << "{\"schema\":\"metaai.timeseries.v1\",\"count\":" << points.size()
      << "}\n";
   for (const TimeSeriesPoint& point : points) {
@@ -29,53 +27,17 @@ void WriteTimeSeriesJsonl(std::span<const TimeSeriesPoint> points,
     }
     os << "}}\n";
   }
-}
-
-std::string ToTimeSeriesJsonl(std::span<const TimeSeriesPoint> points) {
-  std::ostringstream os;
-  WriteTimeSeriesJsonl(points, os);
   return os.str();
 }
 
-bool WriteTimeSeriesFile(std::span<const TimeSeriesPoint> points,
-                         const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  WriteTimeSeriesJsonl(points, os);
-  return os.good();
-}
-
 std::vector<TimeSeriesPoint> ParseTimeSeriesJsonl(std::string_view text) {
-  Check(!text.empty(), "metaai.timeseries.v1: empty document");
-  std::vector<std::string_view> lines;
-  while (!text.empty()) {
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string_view::npos) {
-      lines.push_back(text);
-      break;
-    }
-    lines.push_back(text.substr(0, eol));
-    text.remove_prefix(eol + 1);
-  }
-  const JsonValue header = ParseJson(lines[0]);
-  const JsonValue* schema = header.Find("schema");
-  Check(schema != nullptr && schema->string == "metaai.timeseries.v1",
-        "metaai.timeseries.v1: bad schema header");
-  const JsonValue* count = header.Find("count");
-  Check(count != nullptr, "metaai.timeseries.v1: missing count");
-  Check(lines.size() == static_cast<std::size_t>(count->number) + 1,
-        "metaai.timeseries.v1: count does not match record lines");
+  const JsonlDocument document = ParseJsonl(text, "metaai.timeseries.v1");
   std::vector<TimeSeriesPoint> points;
-  points.reserve(lines.size() - 1);
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const JsonValue record = ParseJson(lines[i]);
-    const JsonValue* t_s = record.Find("t_s");
-    const JsonValue* values = record.Find("values");
-    Check(t_s != nullptr && values != nullptr,
-          "metaai.timeseries.v1: record needs t_s and values");
+  points.reserve(document.records.size());
+  for (const JsonValue& record : document.records) {
     TimeSeriesPoint point;
-    point.t_s = t_s->number;
-    for (const auto& [name, value] : values->object) {
+    point.t_s = Member(record, "t_s").number;
+    for (const auto& [name, value] : Member(record, "values").object) {
       point.values.emplace_back(name, value.number);
     }
     points.push_back(std::move(point));

@@ -9,7 +9,6 @@
 // series and its JSONL export are byte-identical across thread counts.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,12 +35,7 @@ struct TimeSeriesPoint {
 /// followed by one line per point, in order:
 ///   {"t_s":T,"values":{"<key>":V,...}}
 /// Identical series serialize to identical bytes.
-void WriteTimeSeriesJsonl(std::span<const TimeSeriesPoint> points,
-                          std::ostream& os);
 std::string ToTimeSeriesJsonl(std::span<const TimeSeriesPoint> points);
-/// Convenience: write to `path`. Returns false on I/O failure.
-bool WriteTimeSeriesFile(std::span<const TimeSeriesPoint> points,
-                         const std::string& path);
 
 /// Parses a "metaai.timeseries.v1" document; throws CheckError on
 /// schema mismatch or malformed lines.

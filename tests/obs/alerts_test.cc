@@ -229,5 +229,32 @@ TEST(DefaultLinkHealthRulesTest, CoverTheServingSignals) {
   EXPECT_TRUE(has(kSignalSloViolation));
 }
 
+TEST(AlertsJsonlTest, RejectsNegativeFractionalAndInfiniteIntegers) {
+  // A negative count used to reach a double -> size_t cast (UB).
+  EXPECT_THROW(
+      AlertsFromJsonl("{\"schema\":\"metaai.alerts.v1\",\"count\":-1}"),
+      CheckError);
+  EXPECT_THROW(
+      AlertsFromJsonl("{\"schema\":\"metaai.alerts.v1\",\"count\":1e999}\n"),
+      CheckError);
+  EXPECT_THROW(
+      AlertsFromJsonl("{\"schema\":\"metaai.alerts.v1\",\"count\":0.5}\n"),
+      CheckError);
+  auto one_alert = [](const std::string& seq, const std::string& tenant) {
+    return "{\"schema\":\"metaai.alerts.v1\",\"count\":1}\n"
+           "{\"seq\":" + seq + ",\"t_s\":0,\"kind\":\"threshold\","
+           "\"severity\":\"info\",\"rule\":\"r\",\"signal\":\"s\","
+           "\"value\":0,\"threshold\":0,\"tenant\":" + tenant + "}\n";
+  };
+  // Tenant is signed: -1 (not tenant-scoped) is valid.
+  ASSERT_EQ(AlertsFromJsonl(one_alert("3", "-1")).size(), 1u);
+  EXPECT_EQ(AlertsFromJsonl(one_alert("3", "-1"))[0].tenant, -1);
+  EXPECT_THROW(AlertsFromJsonl(one_alert("-3", "0")), CheckError);
+  EXPECT_THROW(AlertsFromJsonl(one_alert("1e999", "0")), CheckError);
+  EXPECT_THROW(AlertsFromJsonl(one_alert("0", "2147483648")), CheckError);
+  EXPECT_THROW(AlertsFromJsonl(one_alert("0", "-1e999")), CheckError);
+  EXPECT_THROW(AlertsFromJsonl(one_alert("0", "0.5")), CheckError);
+}
+
 }  // namespace
 }  // namespace metaai::obs::health

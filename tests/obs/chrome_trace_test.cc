@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -95,19 +93,6 @@ TEST(ChromeTraceTest, OpenSpansBecomeBeginEvents) {
 TEST(ChromeTraceTest, EmptyTracerIsAnEmptyArray) {
   Tracer tracer;
   EXPECT_EQ(ToChromeTrace(tracer), "[]\n");
-}
-
-TEST(ChromeTraceTest, WriteChromeTraceFileRoundTrips) {
-  ManualClock clock;
-  Tracer tracer(&clock);
-  RecordNestedTrace(tracer, clock);
-  const std::string path = ::testing::TempDir() + "metaai_trace.json";
-  ASSERT_TRUE(WriteChromeTraceFile(tracer, path));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), ToChromeTrace(tracer));
 }
 
 TEST(TracerThreadContractTest, WorkerSpansGetTheirOwnBufferAndTid) {

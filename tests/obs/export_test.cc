@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -111,16 +112,137 @@ TEST(SummaryTableTest, ListsEveryInstrument) {
   EXPECT_NE(rendered.find("histogram"), std::string::npos);
 }
 
-TEST(JsonExportTest, WriteJsonFileRoundTrips) {
+TEST(WriteTextFileTest, RoundTripsAndReportsUnwritablePaths) {
   Registry registry;
-  FilledRegistry(registry);
+  const std::string json = ToJson(FilledRegistry(registry).Snapshot());
   const std::string path = ::testing::TempDir() + "metaai_obs_export.json";
-  ASSERT_TRUE(WriteJsonFile(registry, path));
-  std::ifstream in(path);
+  ASSERT_TRUE(WriteTextFile(path, json));
+  std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), json);
   EXPECT_EQ(SnapshotFromJson(ParseJson(buffer.str())), registry.Snapshot());
+
+  // Rewriting replaces the old contents instead of appending.
+  ASSERT_TRUE(WriteTextFile(path, "short\n"));
+  std::ifstream again(path, std::ios::binary);
+  std::stringstream rewritten;
+  rewritten << again.rdbuf();
+  EXPECT_EQ(rewritten.str(), "short\n");
+
+  EXPECT_FALSE(WriteTextFile(
+      ::testing::TempDir() + "no/such/dir/metaai_obs_export.json", json));
+}
+
+TEST(JsonReaderTest, RejectsNestingDeeperThanMaxDepth) {
+  // A million levels used to recurse the parser off the stack.
+  constexpr std::size_t kLevels = 1'000'000;
+  EXPECT_THROW(ParseJson(std::string(kLevels, '[')), CheckError);
+  EXPECT_THROW(ParseJson(std::string(kLevels, '[') + std::string(kLevels, ']')),
+               CheckError);
+  std::string objects;
+  for (std::size_t i = 0; i < kLevels; ++i) objects += "{\"a\":";
+  EXPECT_THROW(ParseJson(objects), CheckError);
+
+  // Exactly kMaxJsonDepth levels still parse; one more does not.
+  const std::string deepest = std::string(kMaxJsonDepth, '[') +
+                              std::string(kMaxJsonDepth, ']');
+  EXPECT_NO_THROW(ParseJson(deepest));
+  EXPECT_THROW(ParseJson("[" + deepest + "]"), CheckError);
+}
+
+TEST(JsonReaderTest, RejectsNonHexUnicodeEscapes) {
+  EXPECT_EQ(ParseJson("\"\\u0041\\u001f\"").string, "A\x1f");
+  EXPECT_EQ(ParseJson("\"\\u004A\"").string, "J");
+  EXPECT_THROW(ParseJson("\"\\u00zz\""), CheckError);
+  EXPECT_THROW(ParseJson("\"\\u-001\""), CheckError);
+  EXPECT_THROW(ParseJson("\"\\u 0041\""), CheckError);
+  EXPECT_THROW(ParseJson("\"\\u004\""), CheckError);
+}
+
+TEST(JsonReaderTest, IntegerFieldsRejectNegativeFractionalAndInfinite) {
+  EXPECT_EQ(JsonInteger<std::uint64_t>(ParseJson("42")), 42u);
+  EXPECT_EQ(JsonInteger<std::int32_t>(ParseJson("-1")), -1);
+  EXPECT_EQ(JsonInteger<std::uint32_t>(ParseJson("4294967295")),
+            4294967295u);
+  EXPECT_THROW(JsonInteger<std::uint64_t>(ParseJson("-1")), CheckError);
+  EXPECT_THROW(JsonInteger<std::uint64_t>(ParseJson("0.5")), CheckError);
+  EXPECT_THROW(JsonInteger<std::uint64_t>(ParseJson("1e999")), CheckError);
+  EXPECT_THROW(JsonInteger<std::int32_t>(ParseJson("-1e999")), CheckError);
+  EXPECT_THROW(JsonInteger<std::uint64_t>(ParseJson("18446744073709551616")),
+               CheckError);
+  EXPECT_THROW(JsonInteger<std::uint32_t>(ParseJson("4294967296")),
+               CheckError);
+  EXPECT_THROW(JsonInteger<std::int32_t>(ParseJson("2147483648")),
+               CheckError);
+  EXPECT_THROW(JsonInteger<std::uint64_t>(ParseJson("\"7\"")), CheckError);
+
+  // Counters go through the same check.
+  EXPECT_THROW(SnapshotFromJson(ParseJson(
+                   R"({"schema":"metaai.obs.v1","counters":{"c":-3},)"
+                   R"("gauges":{},"histograms":{}})")),
+               CheckError);
+}
+
+TEST(JsonReaderTest, SnapshotRejectsMisshapenHistograms) {
+  auto snapshot = [](const std::string& histogram) {
+    return SnapshotFromJson(ParseJson(
+        R"({"schema":"metaai.obs.v1","counters":{},"gauges":{},)"
+        R"("histograms":{"h":)" + histogram + "}}"));
+  };
+  const RegistrySnapshot good = snapshot(
+      R"({"lower":0,"upper_edges":[1,2],"bucket_counts":[1,0,2],)"
+      R"("count":3,"sum":7})");
+  ASSERT_EQ(good.histograms.size(), 1u);
+  EXPECT_EQ(good.histograms[0].second.count, 3u);
+  // Too many buckets: Percentile would read past upper_edges.
+  EXPECT_THROW(snapshot(R"({"lower":0,"upper_edges":[1],)"
+                        R"("bucket_counts":[0,0,5],"count":5,"sum":1})"),
+               CheckError);
+  // No edges and no buckets: Percentile would call back() on nothing.
+  EXPECT_THROW(snapshot(R"({"lower":0,"upper_edges":[],)"
+                        R"("bucket_counts":[],"count":5,"sum":1})"),
+               CheckError);
+  // count disagrees with the buckets.
+  EXPECT_THROW(snapshot(R"({"lower":0,"upper_edges":[1],)"
+                        R"("bucket_counts":[1,1],"count":3,"sum":1})"),
+               CheckError);
+  EXPECT_THROW(snapshot(R"({"lower":0,"upper_edges":[1],"bucket_counts":)"
+                        R"([18446744073709549568,18446744073709549568],)"
+                        R"("count":0,"sum":1})"),
+               CheckError);
+}
+
+TEST(JsonlReaderTest, FramesHeaderAndRecords) {
+  const JsonlDocument document =
+      ParseJsonl("{\"schema\":\"s.v1\",\"count\":2}\n{\"a\":1}\n[]\n", "s.v1");
+  EXPECT_EQ(document.header.Find("count")->number, 2.0);
+  ASSERT_EQ(document.records.size(), 2u);
+  EXPECT_EQ(document.records[0].Find("a")->number, 1.0);
+  EXPECT_EQ(document.records[1].type, JsonValue::Type::kArray);
+  // No trailing newline, no count: the count check is skipped.
+  EXPECT_EQ(ParseJsonl("{\"schema\":\"s.v1\"}\n{}", "s.v1").records.size(),
+            1u);
+
+  EXPECT_THROW(ParseJsonl("", "s.v1"), CheckError);
+  EXPECT_THROW(ParseJsonl("{\"schema\":\"other\"}\n", "s.v1"), CheckError);
+  EXPECT_THROW(ParseJsonl("{\"schema\":\"s.v1\",\"count\":1}\n", "s.v1"),
+               CheckError);
+  EXPECT_THROW(ParseJsonl("{\"schema\":\"s.v1\",\"count\":-1}\n", "s.v1"),
+               CheckError);
+  EXPECT_THROW(ParseJsonl("{\"schema\":\"s.v1\"}\n{\n", "s.v1"), CheckError);
+}
+
+TEST(JsonReaderTest, MemberNamesTheMissingKey) {
+  const JsonValue object = ParseJson(R"({"present": 1})");
+  EXPECT_EQ(Member(object, "present").number, 1.0);
+  try {
+    Member(object, "absent");
+    FAIL() << "Member should throw on a missing key";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("absent"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -104,5 +104,25 @@ TEST(RequestsJsonlTest, RejectsForeignSchemasAndMalformedLines) {
   EXPECT_THROW(ParseRequestsJsonl(text), CheckError);
 }
 
+TEST(RequestsJsonlTest, RejectsNegativeFractionalAndInfiniteIntegers) {
+  auto one_trace = [](const std::string& count, const std::string& id,
+                      const std::string& tenant) {
+    return "{\"schema\":\"metaai.requests.v1\",\"tenants\":[\"a\"],"
+           "\"count\":" + count + "}\n"
+           "{\"id\":" + id + ",\"tenant\":" + tenant +
+           ",\"cache_hit\":false,\"arrival_s\":0,\"slo_s\":0,"
+           "\"stage_s\":[0,0,0,0,0,0],\"energy_j\":0}\n";
+  };
+  EXPECT_EQ(ParseRequestsJsonl(one_trace("1", "7", "0")).traces[0].id, 7u);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("-1", "7", "0")), CheckError);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("1e999", "7", "0")), CheckError);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("1", "-7", "0")), CheckError);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("1", "0.5", "0")), CheckError);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("1", "7", "-1")), CheckError);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("1", "7", "4294967296")),
+               CheckError);
+  EXPECT_THROW(ParseRequestsJsonl(one_trace("1", "7", "1e999")), CheckError);
+}
+
 }  // namespace
 }  // namespace metaai::obs

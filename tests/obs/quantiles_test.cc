@@ -12,15 +12,12 @@ namespace metaai::obs {
 namespace {
 
 TEST(NearestRankPercentileTest, EmptySampleIsExplicit) {
-  // An empty sample has no percentile: the Try forms say so with
-  // nullopt, the non-Try forms treat it as a caller bug. (The old
-  // behaviour — silently returning 0.0 — made idle tenants report a
-  // p50 latency of zero seconds.)
+  // An empty sample has no percentile, and the Try forms say so with
+  // nullopt. (The old behaviour — silently returning 0.0 — made idle
+  // tenants report a p50 latency of zero seconds.)
   EXPECT_EQ(TryNearestRankPercentile({}, 0.5), std::nullopt);
-  EXPECT_THROW(NearestRankPercentile({}, 0.5), CheckError);
   const std::vector<double> qs = {0.5, 0.99};
   EXPECT_EQ(TryNearestRankPercentiles({}, qs), std::nullopt);
-  EXPECT_THROW(NearestRankPercentiles({}, qs), CheckError);
 }
 
 TEST(DigestTailsTest, EmptySampleYieldsZeroCountDigest) {
@@ -34,58 +31,51 @@ TEST(DigestTailsTest, EmptySampleYieldsZeroCountDigest) {
   EXPECT_EQ(digest, TailDigest{});
 }
 
-TEST(NearestRankPercentileTest, TryMatchesNonTryOnNonEmptySamples) {
-  const std::vector<double> values = {3.0, 1.0, 4.0, 1.5, 9.0};
-  for (const double q : {0.001, 0.5, 0.99, 1.0}) {
-    const std::optional<double> got = TryNearestRankPercentile(values, q);
-    ASSERT_TRUE(got.has_value()) << "q=" << q;
-    EXPECT_EQ(*got, NearestRankPercentile(values, q)) << "q=" << q;
-  }
-}
-
 TEST(NearestRankPercentileTest, PicksObservedValuesNeverInterpolates) {
   // Nearest rank over {1..100}: rank ceil(q*100), 1-indexed.
   std::vector<double> values;
   for (int i = 100; i >= 1; --i) {
     values.push_back(static_cast<double>(i));
   }
-  EXPECT_EQ(NearestRankPercentile(values, 0.50), 50.0);
-  EXPECT_EQ(NearestRankPercentile(values, 0.99), 99.0);
-  EXPECT_EQ(NearestRankPercentile(values, 0.999), 100.0);
-  EXPECT_EQ(NearestRankPercentile(values, 1.0), 100.0);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.50).value(), 50.0);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.99).value(), 99.0);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.999).value(), 100.0);
+  EXPECT_EQ(TryNearestRankPercentile(values, 1.0).value(), 100.0);
   // An odd split still lands on a sample, never between two.
-  EXPECT_EQ(NearestRankPercentile(values, 0.505), 51.0);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.505).value(), 51.0);
 }
 
 TEST(NearestRankPercentileTest, SingleSampleIsEveryPercentile) {
   const std::vector<double> one = {7.25};
-  EXPECT_EQ(NearestRankPercentile(one, 0.001), 7.25);
-  EXPECT_EQ(NearestRankPercentile(one, 0.5), 7.25);
-  EXPECT_EQ(NearestRankPercentile(one, 1.0), 7.25);
+  EXPECT_EQ(TryNearestRankPercentile(one, 0.001).value(), 7.25);
+  EXPECT_EQ(TryNearestRankPercentile(one, 0.5).value(), 7.25);
+  EXPECT_EQ(TryNearestRankPercentile(one, 1.0).value(), 7.25);
 }
 
 TEST(NearestRankPercentileTest, RejectsOutOfRangeQuantiles) {
   const std::vector<double> values = {1.0, 2.0};
-  EXPECT_THROW(NearestRankPercentile(values, 0.0), CheckError);
-  EXPECT_THROW(NearestRankPercentile(values, -0.5), CheckError);
-  EXPECT_THROW(NearestRankPercentile(values, 1.5), CheckError);
+  EXPECT_THROW(TryNearestRankPercentile(values, 0.0).value(), CheckError);
+  EXPECT_THROW(TryNearestRankPercentile(values, -0.5).value(), CheckError);
+  EXPECT_THROW(TryNearestRankPercentile(values, 1.5).value(), CheckError);
 }
 
 TEST(NearestRankPercentilesTest, BatchMatchesSingleCalls) {
   const std::vector<double> values = {3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0};
   const std::vector<double> qs = {0.1, 0.5, 0.9, 0.99, 1.0};
-  const std::vector<double> batch = NearestRankPercentiles(values, qs);
+  const std::vector<double> batch =
+      TryNearestRankPercentiles(values, qs).value();
   ASSERT_EQ(batch.size(), qs.size());
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(batch[i], NearestRankPercentile(values, qs[i])) << "q=" << qs[i];
+    EXPECT_EQ(batch[i], TryNearestRankPercentile(values, qs[i]).value())
+        << "q=" << qs[i];
   }
 }
 
 TEST(NearestRankPercentileTest, AllEqualSamplesReturnThatValue) {
   const std::vector<double> values(17, 3.75);
-  EXPECT_EQ(NearestRankPercentile(values, 0.001), 3.75);
-  EXPECT_EQ(NearestRankPercentile(values, 0.5), 3.75);
-  EXPECT_EQ(NearestRankPercentile(values, 0.999), 3.75);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.001).value(), 3.75);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.5).value(), 3.75);
+  EXPECT_EQ(TryNearestRankPercentile(values, 0.999).value(), 3.75);
   const TailDigest digest = DigestTails(values);
   EXPECT_EQ(digest.p50, 3.75);
   EXPECT_EQ(digest.p99, 3.75);
@@ -96,8 +86,8 @@ TEST(NearestRankPercentileTest, RejectsNanSamples) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<double> poisoned = {1.0, nan, 2.0};
   const std::vector<double> qs = {0.5};
-  EXPECT_THROW(NearestRankPercentile(poisoned, 0.5), CheckError);
-  EXPECT_THROW(NearestRankPercentiles(poisoned, qs), CheckError);
+  EXPECT_THROW(TryNearestRankPercentile(poisoned, 0.5).value(), CheckError);
+  EXPECT_THROW(TryNearestRankPercentiles(poisoned, qs).value(), CheckError);
   EXPECT_THROW(DigestTails(poisoned), CheckError);
 }
 
@@ -117,9 +107,9 @@ TEST(DigestTailsTest, MatchesNearestRankAndIsMonotone) {
   }
   const TailDigest digest = DigestTails(values);
   EXPECT_EQ(digest.count, values.size());
-  EXPECT_EQ(digest.p50, NearestRankPercentile(values, 0.50));
-  EXPECT_EQ(digest.p99, NearestRankPercentile(values, 0.99));
-  EXPECT_EQ(digest.p999, NearestRankPercentile(values, 0.999));
+  EXPECT_EQ(digest.p50, TryNearestRankPercentile(values, 0.50).value());
+  EXPECT_EQ(digest.p99, TryNearestRankPercentile(values, 0.99).value());
+  EXPECT_EQ(digest.p999, TryNearestRankPercentile(values, 0.999).value());
   EXPECT_LE(digest.p50, digest.p99);
   EXPECT_LE(digest.p99, digest.p999);
 }

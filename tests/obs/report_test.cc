@@ -78,5 +78,41 @@ TEST(ObsReportTest, MalformedInputsThrow) {
   EXPECT_THROW(RenderObsReport(bad_probes), CheckError);
 }
 
+TEST(ProbeJsonlTest, ReportRejectsNonIntegralHeaderTotals) {
+  for (const char* total : {"-1", "0.5", "1e999"}) {
+    ObsReportInputs inputs;
+    inputs.probes_jsonl = std::string(
+                              "{\"schema\":\"metaai.probes.v1\","
+                              "\"capacity\":4,\"total\":") +
+                          total + ",\"dropped\":0}\n";
+    EXPECT_THROW(RenderObsReport(inputs), CheckError) << total;
+  }
+  ObsReportInputs ok;
+  ok.probes_jsonl =
+      "{\"schema\":\"metaai.probes.v1\",\"capacity\":4,\"total\":1,"
+      "\"dropped\":0}\n"
+      "{\"seq\":0,\"kind\":\"evm\",\"site\":\"x\",\"values\":{}}\n";
+  EXPECT_NE(RenderObsReport(ok).find("Probes (total 1, dropped 0)"),
+            std::string::npos);
+}
+
+TEST(ObsReportTest, MetricsWithMisshapenHistogramThrow) {
+  // Used to read past upper_edges inside Percentile.
+  ObsReportInputs inputs;
+  inputs.metrics_json =
+      R"({"schema":"metaai.obs.v1","counters":{},"gauges":{},"histograms":)"
+      R"({"h":{"lower":0,"upper_edges":[],"bucket_counts":[0,0,4],)"
+      R"("count":4,"sum":1}}})";
+  EXPECT_THROW(RenderObsReport(inputs), CheckError);
+}
+
+TEST(JsonReaderTest, ReportRejectsDeeplyNestedMetrics) {
+  // A metrics.json nested two million levels deep used to segfault the
+  // obs report tool.
+  ObsReportInputs inputs;
+  inputs.metrics_json = std::string(2'000'000, '[');
+  EXPECT_THROW(RenderObsReport(inputs), CheckError);
+}
+
 }  // namespace
 }  // namespace metaai::obs

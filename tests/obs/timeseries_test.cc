@@ -57,5 +57,16 @@ TEST(TimeSeriesJsonlTest, RejectsForeignSchemasAndMalformedLines) {
   EXPECT_THROW(ParseTimeSeriesJsonl(text), CheckError);
 }
 
+TEST(TimeSeriesJsonlTest, RejectsNegativeFractionalAndInfiniteCounts) {
+  for (const char* count : {"-1", "0.5", "1e999", "-1e999", "\"0\""}) {
+    EXPECT_THROW(
+        ParseTimeSeriesJsonl(
+            std::string("{\"schema\":\"metaai.timeseries.v1\",\"count\":") +
+            count + "}\n"),
+        CheckError)
+        << count;
+  }
+}
+
 }  // namespace
 }  // namespace metaai::obs

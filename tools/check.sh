@@ -11,12 +11,15 @@
 #      prepared-link suites (deployments prepare their rounds on the
 #      pool), plus the metaai_obs_report golden-file test against the
 #      TSan-built tool.
-#   4. UBSan-only build (-DMETAAI_SANITIZE=undefined, trap-on-error)
-#      running the obs + serve suites plus the layer-graph/cascade-solver
-#      suites: the health estimators, alert engine and the cascade's
-#      product-of-sums objective do a lot of floating-point edge-case
-#      math (variance recursions, nearest-rank indexing, per-layer row
-#      scaling) where UB hides behind ASan's noise floor.
+#   4. UBSan-only build (-DMETAAI_SANITIZE=undefined, trap-on-error,
+#      float-cast-overflow included) running the obs + serve suites plus
+#      the layer-graph/cascade-solver suites: the health estimators,
+#      alert engine and the cascade's product-of-sums objective do a lot
+#      of floating-point edge-case math (variance recursions,
+#      nearest-rank indexing, per-layer row scaling) where UB hides
+#      behind ASan's noise floor. The JSON/JSONL reader, export, bench
+#      diff and obs-report suites (JsonFuzz included) run here too, with
+#      metaai_obs_report built for the ObsReportGolden test.
 #   5. SIMD parity + determinism under both dispatch paths: the kernel
 #      parity/determinism suites and the solver/mapper determinism
 #      suites run twice — METAAI_SIMD=off (forced scalar) and
@@ -57,9 +60,13 @@ echo "=== [4/6] UBSan on obs + serve suites"
 cmake -B "${prefix}-ubsan" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=Debug -DMETAAI_SANITIZE=undefined -DMETAAI_OBS=ON
 cmake --build "${prefix}-ubsan" -j"$(nproc)" \
-  --target test_obs test_serve test_mts test_fleet
-ctest --test-dir "${prefix}-ubsan" --output-on-failure \
-  -R 'Ewma|Cusum|PageHinkley|WindowedQuantile|HealthMonitor|HealthSignals|ObserveProbe|Alert|Quantile|Percentile|Serve|Lifecycle|TimeSeries|LayerGraph|CascadeSolver|Fleet|Workload'
+  --target test_obs test_serve test_mts test_fleet metaai_obs_report
+ubsan_filter='Ewma|Cusum|PageHinkley|WindowedQuantile|HealthMonitor'
+ubsan_filter+='|HealthSignals|ObserveProbe|Alert|Quantile|Percentile|Serve'
+ubsan_filter+='|Lifecycle|TimeSeries|LayerGraph|CascadeSolver|Fleet|Workload'
+ubsan_filter+='|Json|Export|BenchDiff|DiffBench|DistillBaseline'
+ubsan_filter+='|ExtractBenchMetric|ProbeJsonl|ObsReport'
+ctest --test-dir "${prefix}-ubsan" --output-on-failure -R "${ubsan_filter}"
 
 echo "=== [5/6] SIMD parity + determinism under both dispatch paths"
 simd_filter='Parity|Determini|DispatchTest|ParseLevel|LevelName|SoaComplex'

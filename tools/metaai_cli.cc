@@ -297,7 +297,7 @@ int Ota(const Args& args) {
                      alerts);
     }
     const std::string path = args.Get("alerts-out");
-    if (!obs::health::WriteAlertsFile(alerts, path)) {
+    if (!obs::WriteTextFile(path, obs::health::ToAlertsJsonl(alerts))) {
       std::fprintf(stderr, "error: cannot write alerts to %s\n", path.c_str());
       return 1;
     }
@@ -427,7 +427,8 @@ int Serve(const Args& args) {
               stats.alerts, stats.drift_alerts, stats.margin_p50);
   if (args.Has("alerts-out")) {
     const std::string path = args.Get("alerts-out");
-    if (!obs::health::WriteAlertsFile(result.alerts, path)) {
+    if (!obs::WriteTextFile(path,
+                            obs::health::ToAlertsJsonl(result.alerts))) {
       std::fprintf(stderr, "error: cannot write alerts to %s\n", path.c_str());
       return 1;
     }
@@ -580,7 +581,8 @@ int FleetCmd(const Args& args) {
               stats.drift_alerts);
   if (args.Has("alerts-out")) {
     const std::string path = args.Get("alerts-out");
-    if (!obs::health::WriteAlertsFile(result.alerts, path)) {
+    if (!obs::WriteTextFile(path,
+                            obs::health::ToAlertsJsonl(result.alerts))) {
       std::fprintf(stderr, "error: cannot write alerts to %s\n", path.c_str());
       return 1;
     }
@@ -750,18 +752,20 @@ int main(int argc, char** argv) {
         probes_out.empty() ? nullptr : &probes);
     const int status = Dispatch(args);
     if (!metrics_out.empty() &&
-        !obs::WriteJsonFile(registry, metrics_out, &tracer)) {
+        !obs::WriteTextFile(metrics_out,
+                            obs::ToJson(registry.Snapshot(), &tracer))) {
       std::fprintf(stderr, "error: cannot write metrics to %s\n",
                    metrics_out.c_str());
       return 1;
     }
     if (!trace_out.empty() &&
-        !obs::WriteChromeTraceFile(tracer, trace_out)) {
+        !obs::WriteTextFile(trace_out, obs::ToChromeTrace(tracer))) {
       std::fprintf(stderr, "error: cannot write trace to %s\n",
                    trace_out.c_str());
       return 1;
     }
-    if (!probes_out.empty() && !obs::WriteProbesFile(probes, probes_out)) {
+    if (!probes_out.empty() &&
+        !obs::WriteTextFile(probes_out, obs::ToProbesJsonl(probes))) {
       std::fprintf(stderr, "error: cannot write probes to %s\n",
                    probes_out.c_str());
       return 1;
