@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -93,6 +95,19 @@ TEST(ChromeTraceTest, OpenSpansBecomeBeginEvents) {
 TEST(ChromeTraceTest, EmptyTracerIsAnEmptyArray) {
   Tracer tracer;
   EXPECT_EQ(ToChromeTrace(tracer), "[]\n");
+}
+
+TEST(ChromeTraceTest, WriteChromeTraceFileRoundTrips) {
+  ManualClock clock;
+  Tracer tracer(&clock);
+  RecordNestedTrace(tracer, clock);
+  const std::string path = ::testing::TempDir() + "metaai_trace.json";
+  ASSERT_TRUE(WriteTextFile(path, ToChromeTrace(tracer)));
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), ToChromeTrace(tracer));
 }
 
 TEST(TracerThreadContractTest, WorkerSpansGetTheirOwnBufferAndTid) {

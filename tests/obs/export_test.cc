@@ -112,7 +112,7 @@ TEST(SummaryTableTest, ListsEveryInstrument) {
   EXPECT_NE(rendered.find("histogram"), std::string::npos);
 }
 
-TEST(WriteTextFileTest, RoundTripsAndReportsUnwritablePaths) {
+TEST(JsonExportTest, WriteJsonFileRoundTrips) {
   Registry registry;
   const std::string json = ToJson(FilledRegistry(registry).Snapshot());
   const std::string path = ::testing::TempDir() + "metaai_obs_export.json";
@@ -123,16 +123,20 @@ TEST(WriteTextFileTest, RoundTripsAndReportsUnwritablePaths) {
   buffer << in.rdbuf();
   EXPECT_EQ(buffer.str(), json);
   EXPECT_EQ(SnapshotFromJson(ParseJson(buffer.str())), registry.Snapshot());
+}
 
+TEST(WriteTextFileTest, ReplacesContentsAndReportsUnwritablePaths) {
+  const std::string path = ::testing::TempDir() + "metaai_obs_rewrite.txt";
+  ASSERT_TRUE(WriteTextFile(path, "a longer first body\n"));
   // Rewriting replaces the old contents instead of appending.
   ASSERT_TRUE(WriteTextFile(path, "short\n"));
-  std::ifstream again(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary);
   std::stringstream rewritten;
-  rewritten << again.rdbuf();
+  rewritten << in.rdbuf();
   EXPECT_EQ(rewritten.str(), "short\n");
 
   EXPECT_FALSE(WriteTextFile(
-      ::testing::TempDir() + "no/such/dir/metaai_obs_export.json", json));
+      ::testing::TempDir() + "no/such/dir/metaai_obs_export.json", "x"));
 }
 
 TEST(JsonReaderTest, RejectsNestingDeeperThanMaxDepth) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -137,6 +138,18 @@ TEST(ProbeJsonlTest, HeaderAndRecordsValidateAndAreByteDeterministic) {
   // Empty series are omitted, not emitted as [].
   EXPECT_EQ(sync.Find("series"), nullptr);
   EXPECT_FALSE(std::getline(lines, line));
+}
+
+TEST(ProbeJsonlTest, WriteProbesFileRoundTrips) {
+  ProbeSink sink;
+  sink.Add(MakeRecord(1));
+  const std::string path = ::testing::TempDir() + "metaai_probes.jsonl";
+  ASSERT_TRUE(WriteTextFile(path, ToProbesJsonl(sink)));
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), ToProbesJsonl(sink));
 }
 
 TEST(ProbeSinkTest, ConcurrentAddsKeepEveryRecord) {
