@@ -181,7 +181,6 @@ struct SimdInputs {
   std::vector<double> re, im;
   std::vector<std::uint8_t> codes;
   std::vector<simd::Complex> a, b;
-  std::vector<simd::Complex> even, odd, twiddles;
   std::vector<simd::Complex> symbols;
   std::vector<std::uint32_t> values;
 };
@@ -195,9 +194,6 @@ const SimdInputs& SharedSimdInputs() {
     in.codes.resize(kKernelLen);
     in.a.resize(kKernelLen);
     in.b.resize(kKernelLen);
-    in.even.resize(kKernelLen);
-    in.odd.resize(kKernelLen);
-    in.twiddles.resize(kKernelLen);
     in.symbols.resize(kKernelLen);
     in.values.resize(kKernelLen);
     for (std::size_t i = 0; i < kKernelLen; ++i) {
@@ -207,9 +203,6 @@ const SimdInputs& SharedSimdInputs() {
           static_cast<std::uint8_t>(rng.UniformInt(std::uint64_t{4}));
       in.a[i] = rng.ComplexNormal();
       in.b[i] = rng.ComplexNormal();
-      in.even[i] = rng.ComplexNormal();
-      in.odd[i] = rng.ComplexNormal();
-      in.twiddles[i] = rng.UnitPhasor();
       in.symbols[i] = rng.ComplexNormal();
     }
     return in;
@@ -235,16 +228,6 @@ void BM_KernelComplexDot(benchmark::State& state, simd::Level level) {
   }
 }
 
-void BM_KernelButterflyPass(benchmark::State& state, simd::Level level) {
-  SimdInputs in = SharedSimdInputs();  // mutated in place each iteration
-  const simd::ScopedLevel force(level);
-  for (auto _ : state) {
-    simd::ButterflyPass(in.even.data(), in.odd.data(), in.twiddles.data(),
-                        kKernelLen, false);
-    benchmark::DoNotOptimize(in.even.data());
-  }
-}
-
 void BM_KernelHardDecideQam(benchmark::State& state, simd::Level level) {
   SimdInputs in = SharedSimdInputs();
   const simd::ScopedLevel force(level);
@@ -258,15 +241,13 @@ void BM_KernelHardDecideQam(benchmark::State& state, simd::Level level) {
 
 /// The kernels the speedup gate scores, with their per-level bench arms.
 constexpr const char* kSimdKernels[] = {
-    "BM_KernelPhasedSum", "BM_KernelComplexDot", "BM_KernelButterflyPass",
-    "BM_KernelHardDecideQam"};
+    "BM_KernelPhasedSum", "BM_KernelComplexDot", "BM_KernelHardDecideQam"};
 
 void RegisterSimdBenches() {
   using Fn = void (*)(benchmark::State&, simd::Level);
   const std::pair<const char*, Fn> kernels[] = {
       {"BM_KernelPhasedSum", BM_KernelPhasedSum},
       {"BM_KernelComplexDot", BM_KernelComplexDot},
-      {"BM_KernelButterflyPass", BM_KernelButterflyPass},
       {"BM_KernelHardDecideQam", BM_KernelHardDecideQam}};
   for (const auto& [name, fn] : kernels) {
     benchmark::RegisterBenchmark((std::string(name) + "/scalar").c_str(), fn,
@@ -347,8 +328,8 @@ int GateSimdSpeedups(const std::map<std::string, double>& times_ns) {
                  fast_kernels);
     return 1;
   }
-  std::cout << "(" << fast_kernels
-            << " of 4 kernels at >= 2x over scalar on AVX2)\n";
+  std::cout << "(" << fast_kernels << " of " << std::size(kSimdKernels)
+            << " kernels at >= 2x over scalar on AVX2)\n";
   return 0;
 }
 

@@ -12,6 +12,12 @@
 #include "rf/geometry.h"
 
 namespace metaai::core {
+namespace {
+
+// Angular spacing between receive antennas for antenna parallelism.
+constexpr double kAntennaSpacingDeg = 6.0;
+
+}  // namespace
 
 std::string ParallelismModeName(ParallelismMode mode) {
   switch (mode) {
@@ -51,7 +57,7 @@ std::vector<sim::Observation> BuildObservations(
     }
     case ParallelismMode::kAntenna: {
       // Antenna array fanned around the nominal receive direction.
-      const double spacing = rf::DegToRad(options.antenna_spacing_deg);
+      const double spacing = rf::DegToRad(kAntennaSpacingDeg);
       for (std::size_t l = 0; l < width; ++l) {
         mts::LinkGeometry geometry = base.geometry;
         geometry.rx_angle_rad +=

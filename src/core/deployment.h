@@ -38,8 +38,6 @@ struct DeploymentOptions {
   std::size_t parallel_width = 0;
   /// Subcarrier spacing for subcarrier parallelism (paper: 40 kHz).
   double subcarrier_spacing_hz = 40e3;
-  /// Angular spacing between receive antennas for antenna parallelism.
-  double antenna_spacing_deg = 6.0;
   MappingOptions mapping;
 };
 

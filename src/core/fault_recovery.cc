@@ -11,6 +11,11 @@
 namespace metaai::core {
 namespace {
 
+// An atom is declared stuck when its measured toggle magnitude |B_m - B0|
+// falls below this fraction of the expected healthy toggle 2 |s_m|
+// (averaged across the link's observations).
+constexpr double kStuckThreshold = 0.5;
+
 // Static focus configuration for each upper layer of a cascade link:
 // layer l solves its observation-0 steering toward the reachable
 // magnitude at zero phase (the cascade solver's own initialization), so
@@ -66,8 +71,6 @@ std::vector<sim::Complex> MeasureResponse(
 FaultDiagnosis DiagnoseDeployment(const Deployment& deployment, Rng& rng,
                                   const FaultDiagnosisConfig& config) {
   Check(config.probe_symbols > 0, "diagnosis needs at least one probe symbol");
-  Check(config.stuck_threshold > 0.0 && config.stuck_threshold < 1.0,
-        "stuck threshold must be in (0, 1)");
   const sim::OtaLink& link = deployment.link();
   const std::size_t num_obs = link.num_observations();
   const std::size_t atoms = link.SteeringVector(0).size();
@@ -105,7 +108,7 @@ FaultDiagnosis DiagnoseDeployment(const Deployment& deployment, Rng& rng,
       ratio_sum += expected > 0.0 ? std::abs(delta) / expected : 0.0;
       diagnosis.measured_steering(o, m) = -0.5 * delta;
     }
-    if (ratio_sum / static_cast<double>(num_obs) < config.stuck_threshold) {
+    if (ratio_sum / static_cast<double>(num_obs) < kStuckThreshold) {
       diagnosis.healthy_mask[m] = 0;
       ++diagnosis.num_stuck;
       for (std::size_t o = 0; o < num_obs; ++o) {
@@ -183,67 +186,6 @@ Deployment RecoverFromFaults(const TrainedModel& model,
                     ApplyDiagnosis(std::move(options), diagnosis));
 }
 
-namespace {
-
-/// Shared diagnose -> re-solve -> evaluate tail of the polling and
-/// alert-driven watchdogs; `site` labels the kFault probe.
-void DiagnoseAndRecover(const TrainedModel& model, const mts::LayerGraph& graph,
-                        const sim::OtaLinkConfig& link_config,
-                        const DeploymentOptions& options,
-                        const Deployment& deployment,
-                        const nn::RealDataset& test, Rng& rng,
-                        const FaultWatchdogConfig& config, const char* site,
-                        FaultWatchdogResult& result) {
-  const FaultDiagnosis diagnosis =
-      DiagnoseDeployment(deployment, rng, config.diagnosis);
-  result.report.num_stuck_detected = diagnosis.num_stuck;
-  result.report.wdd_ratio = diagnosis.wdd_ratio;
-  // Re-solve even when nothing is stuck: the measured steering also
-  // repairs drift-induced miscalibration.
-  result.recovered.emplace(
-      RecoverFromFaults(model, graph, link_config, options, diagnosis));
-  result.report.recovered_accuracy =
-      result.recovered->EvaluateAccuracyAtOffset(test, 0.0, rng,
-                                                 config.check_samples);
-  obs::SetGauge("deploy.recovered_accuracy", result.report.recovered_accuracy);
-  if (obs::ProbesEnabled()) {
-    obs::Probe(
-        {.kind = obs::ProbeKind::kFault,
-         .site = site,
-         .values = {{"observed_accuracy", result.report.observed_accuracy},
-                    {"reference_accuracy", result.report.reference_accuracy},
-                    {"recovered_accuracy", result.report.recovered_accuracy},
-                    {"stuck", static_cast<double>(diagnosis.num_stuck)},
-                    {"wdd_ratio", diagnosis.wdd_ratio}}});
-  }
-}
-
-}  // namespace
-
-FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
-                                     const mts::LayerGraph& graph,
-                                     const sim::OtaLinkConfig& link_config,
-                                     const DeploymentOptions& options,
-                                     const Deployment& deployment,
-                                     const nn::RealDataset& test,
-                                     double reference_accuracy, Rng& rng,
-                                     const FaultWatchdogConfig& config) {
-  FaultWatchdogResult result;
-  result.report.reference_accuracy = reference_accuracy;
-  result.report.observed_accuracy = deployment.EvaluateAccuracyAtOffset(
-      test, 0.0, rng, config.check_samples);
-  result.report.tripped =
-      reference_accuracy - result.report.observed_accuracy >
-      config.accuracy_drop_threshold;
-  obs::Count("fault.watchdog_checks");
-  if (!result.report.tripped) return result;
-
-  obs::Count("fault.watchdog_trips");
-  DiagnoseAndRecover(model, graph, link_config, options, deployment, test, rng,
-                     config, "fault.watchdog", result);
-  return result;
-}
-
 FaultWatchdogResult RunFaultWatchdogOnAlert(
     const TrainedModel& model, const mts::LayerGraph& graph,
     const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,
@@ -260,8 +202,29 @@ FaultWatchdogResult RunFaultWatchdogOnAlert(
   result.report.observed_accuracy = alert.value;
   result.report.tripped = true;
   obs::Count("fault.watchdog_alert_trips");
-  DiagnoseAndRecover(model, graph, link_config, options, deployment, test, rng,
-                     config, "fault.watchdog_alert", result);
+
+  const FaultDiagnosis diagnosis =
+      DiagnoseDeployment(deployment, rng, config.diagnosis);
+  result.report.num_stuck_detected = diagnosis.num_stuck;
+  result.report.wdd_ratio = diagnosis.wdd_ratio;
+  // Re-solve even when nothing is stuck: the measured steering also
+  // repairs drift-induced miscalibration.
+  result.recovered.emplace(
+      RecoverFromFaults(model, graph, link_config, options, diagnosis));
+  result.report.recovered_accuracy =
+      result.recovered->EvaluateAccuracyAtOffset(test, 0.0, rng,
+                                                 config.check_samples);
+  obs::SetGauge("deploy.recovered_accuracy", result.report.recovered_accuracy);
+  if (obs::ProbesEnabled()) {
+    obs::Probe(
+        {.kind = obs::ProbeKind::kFault,
+         .site = "fault.watchdog_alert",
+         .values = {{"observed_accuracy", result.report.observed_accuracy},
+                    {"reference_accuracy", result.report.reference_accuracy},
+                    {"recovered_accuracy", result.report.recovered_accuracy},
+                    {"stuck", static_cast<double>(diagnosis.num_stuck)},
+                    {"wdd_ratio", diagnosis.wdd_ratio}}});
+  }
   return result;
 }
 

@@ -15,8 +15,8 @@
 //      the measured steering, with the measured static offsets folded
 //      into the targets;
 //   3. resume inference on the healthy aperture.
-// A watchdog (accuracy drop vs a reference + WDD aperture-health ratio)
-// decides when to pay the diagnosis cost.
+// A watchdog driven by the health layer's drift alerts decides when to
+// pay the diagnosis cost.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +35,6 @@ struct FaultDiagnosisConfig {
   /// symbol detection; noise on the measured steering scales with
   /// 1/sqrt(probe_symbols).
   std::size_t probe_symbols = 64;
-  /// An atom is declared stuck when its measured toggle magnitude
-  /// |B_m - B0| falls below this fraction of the expected healthy toggle
-  /// 2 |s_m| (averaged across the link's observations).
-  double stuck_threshold = 0.5;
 };
 
 struct FaultDiagnosis {
@@ -91,9 +87,7 @@ Deployment RecoverFromFaults(const TrainedModel& model,
 
 struct FaultWatchdogConfig {
   FaultDiagnosisConfig diagnosis;
-  /// Absolute accuracy drop vs the reference that trips a diagnosis.
-  double accuracy_drop_threshold = 0.05;
-  /// Samples for the accuracy spot-checks.
+  /// Samples for the recovered deployment's accuracy check.
   std::size_t check_samples = 64;
 };
 
@@ -103,8 +97,8 @@ struct FaultWatchdogReport {
   bool tripped = false;
   std::size_t num_stuck_detected = 0;
   double wdd_ratio = 1.0;
-  /// Accuracy of the recovered deployment on the same spot-check set
-  /// (only meaningful when tripped).
+  /// Accuracy of the recovered deployment on `check_samples` test
+  /// samples (only meaningful when tripped).
   double recovered_accuracy = 0.0;
 };
 
@@ -114,36 +108,17 @@ struct FaultWatchdogResult {
   std::optional<Deployment> recovered;
 };
 
-/// Spot-checks `deployment` against `reference_accuracy`; on a trip runs
-/// the full diagnose -> re-solve pipeline and evaluates the recovered
-/// deployment, rebuilt over `graph` (which must outlive the result).
-/// Emits fault.* counters and the deploy.recovered_accuracy gauge.
-FaultWatchdogResult RunFaultWatchdog(const TrainedModel& model,
-                                     const mts::LayerGraph& graph,
-                                     const sim::OtaLinkConfig& link_config,
-                                     const DeploymentOptions& options,
-                                     const Deployment& deployment,
-                                     const nn::RealDataset& test,
-                                     double reference_accuracy, Rng& rng,
-                                     const FaultWatchdogConfig& config = {});
-FaultWatchdogResult RunFaultWatchdog(
-    const TrainedModel& model, const mts::LayerGraph&& graph,
-    const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,
-    const Deployment& deployment, const nn::RealDataset& test,
-    double reference_accuracy, Rng& rng,
-    const FaultWatchdogConfig& config = {}) = delete;
-
-/// Alert-driven watchdog entry: a drift alert from the health layer
+/// Alert-driven fault watchdog: a drift alert from the health layer
 /// (obs/alerts.h — AlertKind::kDriftDetected, or any critical alert)
-/// replaces the polling accuracy spot-check. The alert IS the trip:
-/// detection happened online from label-free signals, so no
-/// spot-check transmissions are spent deciding whether to diagnose —
-/// the pipeline goes straight to diagnose -> re-solve and evaluates
-/// the recovered deployment. The report's observed_accuracy holds the
-/// alert's observed signal value (an accuracy *proxy*, not an
-/// accuracy). Emits fault.watchdog_alert_trips alongside the shared
-/// fault.* recovery instruments. Throws CheckError for alerts that are
-/// neither drift-class nor critical.
+/// is the trip. Detection happened online from label-free signals, so
+/// no spot-check transmissions are spent deciding whether to diagnose —
+/// the pipeline goes straight to diagnose -> re-solve over `graph`
+/// (which must outlive the result) and evaluates the recovered
+/// deployment. The report's observed_accuracy holds the alert's
+/// observed signal value (an accuracy *proxy*, not an accuracy). Emits
+/// fault.watchdog_alert_trips, the fault.* recovery counters and the
+/// deploy.recovered_accuracy gauge. Throws CheckError for alerts that
+/// are neither drift-class nor critical.
 FaultWatchdogResult RunFaultWatchdogOnAlert(
     const TrainedModel& model, const mts::LayerGraph& graph,
     const sim::OtaLinkConfig& link_config, const DeploymentOptions& options,

@@ -153,10 +153,9 @@ double HybridModel::Train(const nn::RealDataset& train,
         if (options.sync_error_injection) {
           augmented = *x;
           const double error_us =
-              rng.Bernoulli(options.sync_small_error_mix)
+              rng.Bernoulli(kSyncSmallErrorMix)
                   ? rng.Uniform(0.0, options.sync_gamma_scale_us)
-                  : rng.Gamma(options.sync_gamma_shape,
-                              options.sync_gamma_scale_us);
+                  : rng.Gamma(kSyncGammaShape, options.sync_gamma_scale_us);
           CyclicShift(augmented, static_cast<std::size_t>(std::llround(
                                      error_us * symbols_per_us)));
           x = &augmented;

@@ -35,9 +35,7 @@ struct HybridTrainOptions {
   double momentum = 0.95;
   /// CDFA sync injection (same semantics as TrainingOptions).
   bool sync_error_injection = false;
-  double sync_gamma_shape = 2.0;
   double sync_gamma_scale_us = 1.85;
-  double sync_small_error_mix = 0.25;
   double symbol_rate_hz = 1e6;
 };
 

@@ -18,10 +18,8 @@
 #pragma once
 
 #include "common/result.h"      // typed error handling (metaai::Result<T>)
-#include "core/channel_estimation.h"  // pilot-based H_e estimation (Eqn 8)
-#include "core/controller_service.h"  // RSS-feedback reconfiguration loop
 #include "core/deployment.h"    // over-the-air inference + parallelism
-#include "core/fault_recovery.h"  // fault diagnosis + graceful degradation
+#include "core/fault_recovery.h"  // fault diagnosis + alert-driven recovery
 #include "core/fusion.h"        // multi-sensor late fusion
 #include "core/hybrid.h"        // OTA linear layer + digital nonlinear head
 #include "core/pnn_baseline.h"  // stacked traditional PNN baseline

@@ -76,8 +76,8 @@ StackedPnn::StackedPnn(StackedPnnConfig config) : config_(config) {
   Check(config_.atoms_per_layer > 0, "need atoms");
   Check(config_.num_layers >= 1, "need at least one layer");
   const double lambda = rf::Wavelength(config_.frequency_hz);
-  const double spacing =
-      config_.layer_spacing_m > 0.0 ? config_.layer_spacing_m : 5.0 * lambda;
+  // Plane spacing: five wavelengths.
+  const double spacing = 5.0 * lambda;
   const double k0 = rf::WaveNumber(config_.frequency_hz);
   const double pitch = lambda / 2.0;
 

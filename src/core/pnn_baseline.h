@@ -26,8 +26,6 @@ struct StackedPnnConfig {
   std::size_t atoms_per_layer = 64;
   std::size_t num_layers = 3;
   double frequency_hz = 5.25e9;
-  /// Plane spacing; 0 = 5 wavelengths.
-  double layer_spacing_m = 0.0;
   int epochs = 20;
   int batch_size = 32;
   double learning_rate = 0.05;

@@ -6,6 +6,19 @@
 #include "mts/beam_scan.h"
 
 namespace metaai::core {
+namespace {
+
+// Beam-scan range: the panel's field of view.
+constexpr double kScanMinAngleRad = 0.0;
+constexpr double kScanMaxAngleRad = 1.0471975511965976;  // 60 deg
+// Receiver dwell per probe (RSS measurement time), seconds.
+constexpr double kProbeDwellS = 50e-6;
+// Seconds to re-solve one (output, symbol) configuration on the
+// controller host (measured ~8 us on a laptop core; see
+// bench_micro_kernels).
+constexpr double kSolveTimePerWeightS = 8e-6;
+
+}  // namespace
 
 RecalibrationReport EstimateReceiverAngle(
     const mts::Metasurface& surface, const mts::LinkGeometry& geometry,
@@ -15,23 +28,22 @@ RecalibrationReport EstimateReceiverAngle(
   Check(static_cast<bool>(probe), "recalibration needs a power probe");
 
   const auto scan = mts::ScanForReceiver(
-      surface, geometry, config.scan_min_angle_rad, config.scan_max_angle_rad,
-      config.scan_steps, probe);
+      surface, geometry, kScanMinAngleRad, kScanMaxAngleRad, config.scan_steps,
+      probe);
 
   RecalibrationReport report;
   report.estimated_angle_rad = scan.angle_rad;
   report.probes = scan.scanned_powers.size();
   report.scan_latency_s =
       static_cast<double>(report.probes) *
-      (controller.PatternLoadTime() + config.probe_dwell_s);
+      (controller.PatternLoadTime() + kProbeDwellS);
   report.solve_latency_s =
-      static_cast<double>(num_weights) * config.solve_time_per_weight_s;
+      static_cast<double>(num_weights) * kSolveTimePerWeightS;
   report.total_latency_s = report.scan_latency_s + report.solve_latency_s;
 
   // Tracking budget: the receiver may move by at most one scan step
   // between recalibrations.
-  const double step = (config.scan_max_angle_rad -
-                       config.scan_min_angle_rad) /
+  const double step = (kScanMaxAngleRad - kScanMinAngleRad) /
                       static_cast<double>(config.scan_steps - 1);
   report.max_trackable_angular_speed_rad_s =
       step / report.total_latency_s;

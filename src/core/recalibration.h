@@ -22,16 +22,9 @@
 
 namespace metaai::core {
 
+/// Beam-scan steps across the panel's field of view, 0 to 60 deg.
 struct RecalibrationConfig {
-  double scan_min_angle_rad = 0.0;
-  double scan_max_angle_rad = 1.0471975511965976;  // 60 deg (panel FoV)
   int scan_steps = 31;
-  /// Receiver dwell per probe (RSS measurement time), seconds.
-  double probe_dwell_s = 50e-6;
-  /// Seconds to re-solve one (output, symbol) configuration on the
-  /// controller host (measured ~8 us on a laptop core; see
-  /// bench_micro_kernels).
-  double solve_time_per_weight_s = 8e-6;
 };
 
 struct RecalibrationReport {

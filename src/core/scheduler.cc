@@ -54,7 +54,6 @@ SharedSurfaceScheduler::SharedSurfaceScheduler(const mts::LayerGraph& graph,
     : config_(std::move(config)) {
   Check(!devices.empty(), "scheduler needs at least one device");
   Check(config_.symbol_rate_hz > 0.0, "symbol rate must be positive");
-  Check(config_.guard_interval_s >= 0.0, "negative guard interval");
 
   const obs::ScopedSpan span = obs::Span("scheduler.build");
 
@@ -94,13 +93,13 @@ SharedSurfaceScheduler::SharedSurfaceScheduler(const mts::LayerGraph& graph,
                       .rounds = rounds,
                       .symbols_per_round = symbols});
     obs::Observe("scheduler.slot_duration_s", duration, kSlotBuckets);
-    cursor_s += duration + config_.guard_interval_s;
+    cursor_s += duration + kGuardIntervalS;
   }
   obs::Count("scheduler.frames_built");
   obs::SetGauge("scheduler.devices", static_cast<double>(frame_.size()));
   obs::SetGauge("scheduler.frame_duration_s", FrameDuration());
   obs::SetGauge("scheduler.guard_fraction",
-                static_cast<double>(frame_.size()) * config_.guard_interval_s /
+                static_cast<double>(frame_.size()) * kGuardIntervalS /
                     FrameDuration());
 }
 
@@ -136,14 +135,14 @@ std::vector<ScheduledSlot> SharedSurfaceScheduler::BuildFrame(
                      .rounds = canonical.rounds,
                      .symbols_per_round = canonical.symbols_per_round,
                      .batch = inferences[i]});
-    cursor_s += duration + config_.guard_interval_s;
+    cursor_s += duration + kGuardIntervalS;
   }
   return frame;
 }
 
 double SharedSurfaceScheduler::FrameDuration() const {
   const ScheduledSlot& last = frame_.back();
-  return last.start_s + last.duration_s + config_.guard_interval_s;
+  return last.start_s + last.duration_s + kGuardIntervalS;
 }
 
 double SharedSurfaceScheduler::PerDeviceRate() const {

@@ -30,10 +30,11 @@ struct DeviceSpec {
   DeploymentOptions options;
 };
 
+/// Guard between device slots (detector re-arm + MCU turnaround).
+inline constexpr double kGuardIntervalS = 20e-6;
+
 struct SchedulerConfig {
   double symbol_rate_hz = 1e6;
-  /// Guard between device slots (detector re-arm + MCU turnaround).
-  double guard_interval_s = 20e-6;
   /// Control-plane model for the shared (front) surface. The atom count
   /// is re-derived from the actual panel at construction — the zero
   /// value describes the 256-atom prototype and previously leaked onto

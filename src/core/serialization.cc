@@ -42,6 +42,38 @@ Error ParseError(const std::string& what, const std::filesystem::path& path) {
   return Error{ErrorCode::kParseError, what + ": " + path.string()};
 }
 
+/// Bounds each count read from a file by what the rest of the file can
+/// hold, before anything is sized by it, so a hostile count is a parse
+/// error instead of a std::length_error or a huge allocation.
+class CountBound {
+ public:
+  CountBound(std::istream& in, const std::filesystem::path& path)
+      : in_(in), path_(path) {
+    in.seekg(0, std::ios::end);
+    size_ = in.tellg();
+    in.seekg(0);
+  }
+
+  /// An error unless `count` items of at least `min_bytes` each fit in
+  /// the bytes after the read position, plus one for a missing final
+  /// newline. A whitespace-separated number takes at least two bytes.
+  std::optional<Error> Check(std::size_t count, std::size_t min_bytes,
+                             const std::string& what) const {
+    // tellg() fails at end of file, where nothing is left.
+    const std::streamoff left =
+        in_.eof() ? 0 : size_ - static_cast<std::streamoff>(in_.tellg());
+    if (count <= (static_cast<std::size_t>(left) + 1) / min_bytes) {
+      return std::nullopt;
+    }
+    return ParseError(what + " exceeds what the file can hold in", path_);
+  }
+
+ private:
+  std::istream& in_;
+  const std::filesystem::path& path_;
+  std::streamoff size_ = 0;
+};
+
 }  // namespace
 
 Result<void> TrySaveModel(const TrainedModel& model,
@@ -81,6 +113,7 @@ Result<void> TrySaveModel(const TrainedModel& model,
 Result<TrainedModel> TryLoadModel(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in.good()) return IoError("cannot open model file", path);
+  const CountBound bound(in, path);
   std::string magic;
   std::getline(in, magic);
   if (magic != kModelMagic) return ParseError("not a metaai model file", path);
@@ -98,6 +131,11 @@ Result<TrainedModel> TryLoadModel(const std::filesystem::path& path) {
   in >> classes >> dim;
   if (!in.good() || classes == 0 || dim == 0) {
     return ParseError("malformed model dimensions in", path);
+  }
+  // Each weight is two numbers.
+  if (auto error = bound.Check(dim, 4, "model input dim")) return *error;
+  if (auto error = bound.Check(classes, 4 * dim, "model class count")) {
+    return *error;
   }
 
   TrainedModel model{.network = nn::ComplexLinearModel(dim, classes),
@@ -126,6 +164,10 @@ Result<TrainedModel> TryLoadModel(const std::filesystem::path& path) {
     if (in.fail() || num_layers == 0) {
       return ParseError("malformed layer count in model file", path);
     }
+    // A layer line holds at least eight numbers.
+    if (auto error = bound.Check(num_layers, 16, "layer count")) {
+      return *error;
+    }
     for (std::size_t l = 0; l < num_layers; ++l) {
       mts::PhysicalLayerSpec layer;
       std::size_t num_bands = 0;
@@ -134,6 +176,7 @@ Result<TrainedModel> TryLoadModel(const std::filesystem::path& path) {
           layer.surface.fractional_bandwidth >> layer.surface.fov_deg >>
           layer.surface.atom_reflection_amplitude >> num_bands;
       if (in.fail()) return ParseError("truncated layer trailer in", path);
+      if (auto error = bound.Check(num_bands, 2, "band count")) return *error;
       layer.surface.supported_bands_hz.assign(num_bands, 0.0);
       for (double& band : layer.surface.supported_bands_hz) in >> band;
       if (in.fail()) return ParseError("truncated layer bands in", path);
@@ -255,6 +298,7 @@ Result<MappedSchedules> TryLoadPatterns(const std::filesystem::path& path,
                                         std::size_t expected_atoms) {
   std::ifstream in(path);
   if (!in.good()) return IoError("cannot open pattern file", path);
+  const CountBound bound(in, path);
   std::string magic;
   std::getline(in, magic);
   if (magic != kPatternMagic) {
@@ -273,6 +317,12 @@ Result<MappedSchedules> TryLoadPatterns(const std::filesystem::path& path,
                      " does not match the surface (" +
                      std::to_string(expected_atoms) + ")"};
   }
+  // A round opens with an outputs line of at least two numbers; a
+  // symbol is a line of atoms / 2 hex digits.
+  if (auto error = bound.Check(rounds, 4, "round count")) return *error;
+  if (auto error = bound.Check(symbols, atoms / 2 + 1, "symbol count")) {
+    return *error;
+  }
 
   MappedSchedules schedules;
   in >> schedules.scale >> schedules.mean_relative_residual;
@@ -282,6 +332,9 @@ Result<MappedSchedules> TryLoadPatterns(const std::filesystem::path& path,
     in >> num_outputs;
     if (in.fail() || num_outputs == 0) {
       return ParseError("malformed round outputs in", path);
+    }
+    if (auto error = bound.Check(num_outputs, 2, "round output count")) {
+      return *error;
     }
     std::vector<int> outputs(num_outputs);
     for (int& o : outputs) in >> o;
@@ -325,11 +378,18 @@ Result<MappedSchedules> TryLoadPatterns(const std::filesystem::path& path,
     if (in.fail() || num_upper == 0) {
       return ParseError("malformed upper layer count in", path);
     }
+    if (auto error = bound.Check(num_upper, 2, "upper layer count")) {
+      return *error;
+    }
     std::vector<std::size_t> upper_atoms(num_upper);
     for (std::size_t& count : upper_atoms) {
       in >> count;
       if (in.fail() || count == 0 || count % 2 != 0) {
         return ParseError("malformed upper atom count in", path);
+      }
+      // Each upper symbol is a line of count / 2 hex digits.
+      if (auto error = bound.Check(1, count / 2 + 1, "upper atom count")) {
+        return *error;
       }
     }
     in >> std::ws;

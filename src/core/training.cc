@@ -47,9 +47,7 @@ TrainedModel TrainModel(const nn::RealDataset& train,
   const bool shift_inject = options.sync_error_injection;
   const bool noise_inject = options.input_noise_variance > 0.0;
   if (shift_inject || noise_inject) {
-    const double shape = options.sync_gamma_shape;
     const double scale = options.sync_gamma_scale_us;
-    const double small_mix = options.sync_small_error_mix;
     const double symbols_per_us = options.symbol_rate_hz * 1e-6;
     const double input_noise = options.input_noise_variance;
     optimizer.input_augment = [=](std::vector<nn::Complex>& x, Rng& r) {
@@ -57,9 +55,9 @@ TrainedModel TrainModel(const nn::RealDataset& train,
         // Gamma-distributed residual sync error, converted to whole
         // symbols (the injector of Fig 13a), mixed with occasional small
         // errors so on-time detections stay in distribution.
-        const double error_us = r.Bernoulli(small_mix)
+        const double error_us = r.Bernoulli(kSyncSmallErrorMix)
                                     ? r.Uniform(0.0, scale)
-                                    : r.Gamma(shape, scale);
+                                    : r.Gamma(kSyncGammaShape, scale);
         const auto shift = static_cast<std::size_t>(
             std::llround(error_us * symbols_per_us));
         CyclicShift(x, shift);

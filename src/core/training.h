@@ -16,6 +16,15 @@
 
 namespace metaai::core {
 
+/// Gamma shape of the CDFA sync-error injector (TrainingOptions and
+/// HybridTrainOptions); the scale is the sync_gamma_scale_us setting.
+inline constexpr double kSyncGammaShape = 2.0;
+/// Probability of drawing a small uniform error instead of the Gamma
+/// tail: the Gamma density vanishes at zero, so a pure Gamma injector
+/// leaves the model weak exactly when the detector happens to fire on
+/// time. A modest mixture keeps the zero-offset case in distribution.
+inline constexpr double kSyncSmallErrorMix = 0.25;
+
 struct TrainingOptions {
   rf::Modulation modulation = rf::Modulation::kQam256;
   /// Optimizer settings; the defaults are the paper's (§4): lr 8e-3,
@@ -28,14 +37,10 @@ struct TrainingOptions {
   /// CDFA fine-grained adjustment: inject Gamma-distributed cyclic shifts
   /// (in symbols) during training so the deployed network tolerates the
   /// residual coarse-detection error.
+  /// The shift is Gamma(kSyncGammaShape, sync_gamma_scale_us) mixed with
+  /// small uniform errors at rate kSyncSmallErrorMix.
   bool sync_error_injection = false;
-  double sync_gamma_shape = 2.0;
   double sync_gamma_scale_us = 1.85;
-  /// Probability of drawing a small uniform error instead of the Gamma
-  /// tail: the Gamma density vanishes at zero, so a pure Gamma injector
-  /// leaves the model weak exactly when the detector happens to fire on
-  /// time. A modest mixture keeps the zero-offset case in distribution.
-  double sync_small_error_mix = 0.25;
   double symbol_rate_hz = 1e6;
 
   /// Noise-aware training (§3.5.2): complex input noise variance

@@ -11,6 +11,11 @@
 namespace metaai::core {
 namespace {
 
+// Alternating block-coordinate sweeps per (round, symbol) cascade solve
+// (see mts::CascadeOptions). Only links with upper layers alternate, so
+// depth-1 mappings and their cache keys do not depend on it.
+constexpr int kCascadeOuterSweeps = 2;
+
 // Largest magnitude the solver can reliably reach against `steering`:
 // the coherent sum of steering magnitudes times the 2-bit quantization
 // factor. Masked-out (faulty) atoms contribute nothing to the solve, so
@@ -219,8 +224,7 @@ MappedSchedules MapSequentialImpl(const ComplexMatrix& weights,
   MappedSchedules result;
   result.scale = scale;
   const std::size_t cols = weights.cols();
-  const mts::CascadeOptions cascade{.outer_sweeps =
-                                        options.cascade_outer_sweeps};
+  const mts::CascadeOptions cascade{.outer_sweeps = kCascadeOuterSweeps};
   // Per-(output, symbol) solves share no state: fan out one task per
   // flattened (r, i) index, then assemble sequentially in the same index
   // order the serial loop used, so codes *and* the residual float
@@ -322,8 +326,7 @@ MappedSchedules MapParallelImpl(const ComplexMatrix& weights,
   // One task per flattened (round, symbol) index; assembly below walks
   // the same index order as the serial loops so residual accumulation is
   // bitwise identical for any thread count.
-  const mts::CascadeOptions cascade{.outer_sweeps =
-                                        options.cascade_outer_sweeps};
+  const mts::CascadeOptions cascade{.outer_sweeps = kCascadeOuterSweeps};
   std::vector<mts::CascadeResult> solved(num_rounds * cols);
   obs::DeterministicParallelFor(solved.size(), [&](std::size_t k) {
     const std::size_t round = k / cols;
@@ -414,7 +417,7 @@ std::string BuildMappingKey(const ComplexMatrix& weights,
   // caches keep hitting.
   if (link.num_layers() > 1) {
     key.Add(static_cast<std::uint64_t>(link.num_layers()));
-    key.Add(static_cast<std::uint64_t>(options.cascade_outer_sweeps));
+    key.Add(static_cast<std::uint64_t>(kCascadeOuterSweeps));
     for (const ComplexMatrix& folded : UpperLayerMatrices(link)) {
       key.Add(static_cast<std::uint64_t>(folded.rows()));
       key.Add(static_cast<std::uint64_t>(folded.cols()));

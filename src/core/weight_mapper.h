@@ -79,11 +79,6 @@ struct MappingOptions {
   /// Early-exit threshold applied to warm-started solves only (see
   /// mts::SolveOptions::min_sweep_improvement). Also part of the key.
   double warm_start_min_improvement = 1e-3;
-  /// Alternating block-coordinate sweeps per (round, symbol) cascade
-  /// solve (see mts::CascadeOptions); must be positive. Only links with
-  /// upper layers alternate, so depth-1 mappings — and their cache keys,
-  /// which leave it out — do not depend on it.
-  int cascade_outer_sweeps = 2;
 };
 
 struct MappedSchedules {

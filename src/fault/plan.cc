@@ -1,5 +1,6 @@
 #include "fault/plan.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -10,10 +11,14 @@
 namespace metaai::fault {
 namespace {
 
+// Non-finite values are malformed too: NaN passes every range check
+// (each comparison with it is false) and an infinite drift or age makes
+// the link's steering non-finite.
 Result<double> ParseDouble(const std::string& key, const std::string& text) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty()) {
+  if (end == nullptr || *end != '\0' || text.empty() ||
+      !std::isfinite(value)) {
     return Error{ErrorCode::kParseError, "fault spec: bad numeric value for '" +
                                              key + "': '" + text + "'"};
   }

@@ -20,7 +20,7 @@ std::size_t Controller::BitsPerGroup() const {
 
 double Controller::PatternLoadTime() const {
   return static_cast<double>(BitsPerGroup()) / config_.shift_clock_hz +
-         config_.latch_overhead_s;
+         kLatchOverheadS;
 }
 
 double Controller::MaxSwitchRate() const { return 1.0 / PatternLoadTime(); }

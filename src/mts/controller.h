@@ -16,13 +16,14 @@
 
 namespace metaai::mts {
 
+/// Overhead per pattern commit (latch + MCU dispatch), seconds.
+inline constexpr double kLatchOverheadS = 2e-9;
+
 struct ControllerConfig {
   std::size_t num_atoms = 256;
   std::size_t num_groups = 16;
   /// Serial clock of each shift-register chain.
   double shift_clock_hz = 85e6;
-  /// Overhead per pattern commit (latch + MCU dispatch), seconds.
-  double latch_overhead_s = 2e-9;
   /// Energy drawn per full-pattern reconfiguration, joules. Chosen so the
   /// per-inference MTS energy matches Table 2's 2.353 mJ at 2x1 Msym/s
   /// switching over a 256-symbol MNIST transmission (times 10 outputs).

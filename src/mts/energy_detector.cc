@@ -5,15 +5,20 @@
 #include "common/check.h"
 
 namespace metaai::mts {
+namespace {
+
+// Gamma scale of the residual detection latency, microseconds (Fig 12).
+constexpr double kLatencyGammaScaleUs = 1.85;
+
+}  // namespace
 
 EnergyDetector::EnergyDetector(EnergyDetectorConfig config)
     : config_(config) {
   Check(config_.relative_threshold > 0.0 && config_.relative_threshold < 1.0,
         "relative threshold must be in (0, 1)");
   Check(config_.rc_constant_samples > 0.0, "RC constant must be positive");
-  Check(config_.latency_gamma_shape > 0.0 &&
-            config_.latency_gamma_scale_us > 0.0,
-        "latency distribution parameters must be positive");
+  Check(config_.latency_gamma_shape > 0.0,
+        "latency distribution shape must be positive");
 }
 
 std::optional<std::size_t> EnergyDetector::DetectArrival(
@@ -30,8 +35,7 @@ std::optional<std::size_t> EnergyDetector::DetectArrival(
 }
 
 double EnergyDetector::SampleDetectionLatencyUs(Rng& rng) const {
-  return rng.Gamma(config_.latency_gamma_shape,
-                   config_.latency_gamma_scale_us);
+  return rng.Gamma(config_.latency_gamma_shape, kLatencyGammaScaleUs);
 }
 
 }  // namespace metaai::mts

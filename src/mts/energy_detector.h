@@ -23,10 +23,10 @@ struct EnergyDetectorConfig {
   /// RC smoothing constant in samples.
   double rc_constant_samples = 8.0;
   /// Gamma distribution of the total residual detection latency, in
-  /// microseconds. Defaults reproduce Fig 12 (51.7% of errors > 3 us).
-  /// Gamma(2, 1.85) gives P(latency > 3 us) ~= 51.7%.
+  /// microseconds: shape here, scale kLatencyGammaScaleUs. The defaults
+  /// reproduce Fig 12 (51.7% of errors > 3 us): Gamma(2, 1.85) gives
+  /// P(latency > 3 us) ~= 51.7%.
   double latency_gamma_shape = 2.0;
-  double latency_gamma_scale_us = 1.85;
 };
 
 class EnergyDetector {

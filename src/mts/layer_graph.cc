@@ -9,6 +9,13 @@
 namespace metaai::mts {
 namespace {
 
+// Largest panel a graph accepts: far above any fabricated surface, and
+// small enough that a corrupt spec (say, from a model file) cannot size
+// a multi-gigabyte allocation.
+constexpr std::size_t kMaxAtomsPerLayer = std::size_t{1} << 20;
+
+// Rejects everything the Metasurface constructor would Check-abort on,
+// so TryFromSpecs returns an error instead of throwing.
 Result<void> ValidateSpecs(const std::vector<PhysicalLayerSpec>& specs) {
   if (specs.empty()) {
     return Error{ErrorCode::kInvalidArgument,
@@ -25,6 +32,21 @@ Result<void> ValidateSpecs(const std::vector<PhysicalLayerSpec>& specs) {
       return Error{ErrorCode::kInvalidArgument,
                    "layer " + std::to_string(l) +
                        ": coupling gain must be positive and finite"};
+    }
+    if (spec.surface.rows > kMaxAtomsPerLayer / spec.surface.cols) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "layer " + std::to_string(l) + ": surface exceeds " +
+                       std::to_string(kMaxAtomsPerLayer) + " atoms"};
+    }
+    if (!std::isfinite(spec.surface.design_frequency_hz) ||
+        spec.surface.design_frequency_hz <= 0.0) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "layer " + std::to_string(l) +
+                       ": design frequency must be positive and finite"};
+    }
+    if (spec.surface.supported_bands_hz.empty()) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "layer " + std::to_string(l) + ": no supported bands"};
     }
   }
   return Ok();

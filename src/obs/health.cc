@@ -8,6 +8,9 @@
 namespace metaai::obs::health {
 namespace {
 
+// Samples each signal's windowed p50/p99 are taken over.
+constexpr std::size_t kQuantileWindow = 128;
+
 /// Warmup-stddev normalization scale from Welford accumulators; an
 /// (almost) constant warmup falls back to absolute units so the
 /// detectors stay meaningful instead of dividing by ~0.
@@ -143,7 +146,7 @@ void HealthMonitor::Observe(std::string_view signal, double value) {
   }
   names_.emplace_back(signal);
   states_.push_back({.ewma = EwmaEstimator(config_.ewma),
-                     .window = WindowedQuantile(config_.quantile_window)});
+                     .window = WindowedQuantile(kQuantileWindow)});
   State& state = states_.back();
   state.ewma.Observe(value);
   state.window.Observe(value);

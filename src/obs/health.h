@@ -168,7 +168,6 @@ struct SignalStats {
 
 struct HealthMonitorConfig {
   EwmaConfig ewma;
-  std::size_t quantile_window = 128;
 };
 
 /// Per-signal streaming state keyed by signal name. Signals are created

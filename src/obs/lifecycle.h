@@ -19,7 +19,7 @@
 //                mts::ConfigCache rather than solved fresh);
 //   airtime    — OTA transmission (computation happens here);
 //   demod      — server-side accumulation/readout after the last
-//                symbol (sim::EnergyModelConfig::metaai_server_ms).
+//                symbol (sim::EnergyModel::DemodLatencyS).
 //
 // Latency() — the end-to-end latency, arrival to readout — is exactly
 // the stage sum, an invariant the serve tests pin. energy_j is the

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "simd/kernels.h"
 
 namespace metaai::rf {
 namespace {
@@ -45,6 +44,20 @@ const std::vector<Complex>& ForwardTwiddles(std::size_t n) {
   return it->second;
 }
 
+// One radix-2 butterfly pass over `count` pairs with contiguous even/odd
+// halves: t = odd[k] * w[k] (w conjugated when `inverse`), then
+// even[k] = e + t and odd[k] = e - t.
+void ButterflyPass(Complex* even, Complex* odd, const Complex* twiddles,
+                   std::size_t count, bool inverse) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const Complex w = inverse ? std::conj(twiddles[k]) : twiddles[k];
+    const Complex e = even[k];
+    const Complex t = odd[k] * w;
+    even[k] = e + t;
+    odd[k] = e - t;
+  }
+}
+
 void Transform(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
   Check(IsPowerOfTwo(n), "FFT length must be a power of two");
@@ -55,12 +68,11 @@ void Transform(std::span<Complex> data, bool inverse) {
     // exactly the contiguous size-len table: w_n^{k*(n/len)} = w_len^k
     // bitwise (the stride is a power of two, so the phase argument
     // -2*pi*(k*stride)/n evaluates to the same double as -2*pi*k/len).
-    // Contiguous twiddles let the butterfly kernel run vectorized.
     const std::vector<Complex>& twiddles = ForwardTwiddles(len);
     const std::size_t half = len / 2;
     for (std::size_t block = 0; block < n; block += len) {
-      simd::ButterflyPass(&data[block], &data[block + half], twiddles.data(),
-                          half, inverse);
+      ButterflyPass(&data[block], &data[block + half], twiddles.data(), half,
+                    inverse);
     }
   }
   if (inverse) {

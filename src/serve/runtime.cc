@@ -265,7 +265,7 @@ void FinalizeStats(ServeStats& stats, std::span<const ServeResponse> responses,
 Runtime::Runtime(mts::LayerGraph graph, std::vector<ClientSpec> clients,
                  RuntimeOptions options)
     : graph_(std::make_unique<const mts::LayerGraph>(std::move(graph))),
-      options_(std::move(options)), energy_(options_.energy) {
+      options_(std::move(options)) {
   ValidateRuntimeConfig(clients, options_).value();
   Init(std::move(clients));
 }
@@ -331,7 +331,7 @@ ServeResult Runtime::Run(std::span<const ServeRequest> requests,
   std::vector<obs::health::AlertEngine> engines =
       BuildHealthEngines(options_, num_clients());
 
-  const double guard_s = options_.scheduler.guard_interval_s;
+  const double guard_s = core::kGuardIntervalS;
   const double demod_s = energy_.DemodLatencyS();
   std::vector<std::deque<std::size_t>> queues(num_clients());
   std::size_t next = 0;
@@ -539,7 +539,7 @@ ServeResult Runtime::RunUnbatched(std::span<const ServeRequest> requests,
   std::vector<obs::health::AlertEngine> engines =
       BuildHealthEngines(options_, num_clients());
 
-  const double guard_s = options_.scheduler.guard_interval_s;
+  const double guard_s = core::kGuardIntervalS;
   const double demod_s = energy_.DemodLatencyS();
   std::vector<obs::RequestTrace> traces(requests.size());
   std::size_t admitted = 0;

@@ -84,9 +84,6 @@ struct RuntimeOptions {
   /// warm-started mappings are equivalent within the solver's residual
   /// tolerance instead.
   double warm_start_distance = 0.0;
-  /// Cost model behind the per-request energy estimates and the demod
-  /// stage of the lifecycle traces (Tables 2-3 constants by default).
-  sim::EnergyModelConfig energy;
   /// Online health monitoring: when true (default), every served
   /// request's soft-decision margin feeds a per-tenant AlertEngine, SLO
   /// violations feed its slo_violation signal, and emitted alerts land

@@ -7,6 +7,15 @@
 namespace metaai::sim {
 namespace {
 
+// Radio and MetaAI constants (see the header comment for their sources).
+constexpr double kRadioRateBps = 40e6;
+constexpr double kRadioPowerW = 5.46;
+constexpr double kMetaAiSymbolRateHz = 1e6;
+constexpr double kMtsPatternsPerSymbol = 2.0;  // mid-symbol flip
+constexpr double kMtsEnergyPerPatternJ = 0.75e-6;
+constexpr double kMetaAiServerMs = 0.013;
+constexpr double kMetaAiServerPowerW = 0.6;
+
 // Server compute time = intercept_ms + slope_ms_per_px * pixels, at
 // power_w. Fitted through the paper's measured MNIST (784 px) and AFHQ
 // (2704 px) rows.
@@ -35,10 +44,7 @@ const ServerProfile& FindProfile(const std::string& device,
 
 }  // namespace
 
-EnergyModel::EnergyModel(EnergyModelConfig config) : config_(config) {
-  Check(config_.radio_rate_bps > 0.0, "radio rate must be positive");
-  Check(config_.metaai_symbol_rate_hz > 0.0, "symbol rate must be positive");
-}
+double EnergyModel::DemodLatencyS() const { return kMetaAiServerMs * 1e-3; }
 
 InferenceEnergy EnergyModel::OtaInferenceEnergy(double airtime_s,
                                                 std::size_t symbols,
@@ -47,10 +53,9 @@ InferenceEnergy EnergyModel::OtaInferenceEnergy(double airtime_s,
   InferenceEnergy energy;
   // dBm -> W: 10^((dBm - 30) / 10).
   energy.tx_j = std::pow(10.0, (tx_power_dbm - 30.0) / 10.0) * airtime_s;
-  energy.mts_j = static_cast<double>(symbols) *
-                 config_.mts_patterns_per_symbol *
-                 config_.mts_energy_per_pattern_j;
-  energy.server_j = config_.metaai_server_power_w * DemodLatencyS();
+  energy.mts_j = static_cast<double>(symbols) * kMtsPatternsPerSymbol *
+                 kMtsEnergyPerPatternJ;
+  energy.server_j = kMetaAiServerPowerW * DemodLatencyS();
   return energy;
 }
 
@@ -64,12 +69,12 @@ EnergyLatencyRow EnergyModel::DigitalRow(const std::string& device,
   row.model = model;
   // 8-bit pixels shipped raw.
   const double bits = static_cast<double>(pixels) * 8.0;
-  row.transmission_ms = bits / config_.radio_rate_bps * 1e3;
+  row.transmission_ms = bits / kRadioRateBps * 1e3;
   row.server_compute_ms =
       profile.intercept_ms + profile.slope_ms_per_px *
                                  static_cast<double>(pixels);
   row.total_ms = row.transmission_ms + row.server_compute_ms;
-  row.transmission_mj = config_.radio_power_w * row.transmission_ms;
+  row.transmission_mj = kRadioPowerW * row.transmission_ms;
   row.server_compute_mj = profile.power_w * row.server_compute_ms;
   row.mts_mj = 0.0;
   row.total_mj = row.transmission_mj + row.server_compute_mj;
@@ -88,14 +93,12 @@ EnergyLatencyRow EnergyModel::MetaAiRow(std::size_t pixels,
   const double rounds = std::ceil(static_cast<double>(classes) /
                                   static_cast<double>(parallel_width));
   const double symbols = static_cast<double>(pixels) * rounds;
-  row.transmission_ms = symbols / config_.metaai_symbol_rate_hz * 1e3;
-  row.server_compute_ms = config_.metaai_server_ms;
+  row.transmission_ms = symbols / kMetaAiSymbolRateHz * 1e3;
+  row.server_compute_ms = kMetaAiServerMs;
   row.total_ms = row.transmission_ms + row.server_compute_ms;
-  row.transmission_mj = config_.radio_power_w * row.transmission_ms;
-  row.server_compute_mj =
-      config_.metaai_server_power_w * row.server_compute_ms;
-  row.mts_mj = symbols * config_.mts_patterns_per_symbol *
-               config_.mts_energy_per_pattern_j * 1e3;
+  row.transmission_mj = kRadioPowerW * row.transmission_ms;
+  row.server_compute_mj = kMetaAiServerPowerW * row.server_compute_ms;
+  row.mts_mj = symbols * kMtsPatternsPerSymbol * kMtsEnergyPerPatternJ * 1e3;
   row.total_mj = row.transmission_mj + row.server_compute_mj + row.mts_mj;
   return row;
 }

@@ -31,16 +31,6 @@ struct EnergyLatencyRow {
   double total_mj = 0.0;
 };
 
-struct EnergyModelConfig {
-  double radio_rate_bps = 40e6;
-  double radio_power_w = 5.46;
-  double metaai_symbol_rate_hz = 1e6;
-  double mts_patterns_per_symbol = 2.0;  // mid-symbol flip
-  double mts_energy_per_pattern_j = 0.75e-6;
-  double metaai_server_ms = 0.013;
-  double metaai_server_power_w = 0.6;
-};
-
 /// Per-request energy split used by the serving runtime's lifecycle
 /// traces: radiated Tx power over the airtime, MTS pattern switching,
 /// and the fixed server-side accumulation step.
@@ -54,10 +44,6 @@ struct InferenceEnergy {
 
 class EnergyModel {
  public:
-  explicit EnergyModel(EnergyModelConfig config = {});
-
-  const EnergyModelConfig& config() const { return config_; }
-
   /// Energy of one OTA inference that transmitted `symbols` symbols
   /// over `airtime_s` at `tx_power_dbm` radiated power (the serving
   /// runtime reads both from the scheduled slot and the tenant's link
@@ -68,7 +54,7 @@ class EnergyModel {
 
   /// Server-side accumulation/readout latency per inference, in
   /// seconds (the lifecycle "demod" stage).
-  double DemodLatencyS() const { return config_.metaai_server_ms * 1e-3; }
+  double DemodLatencyS() const;
 
   /// Digital baseline row: raw image (pixels bytes at 8bpp) shipped to
   /// the server, then inferred there. `device` is "CPU" or "4080 GPU",
@@ -82,9 +68,6 @@ class EnergyModel {
   /// parallelism scheme).
   EnergyLatencyRow MetaAiRow(std::size_t pixels, std::size_t classes,
                              std::size_t parallel_width) const;
-
- private:
-  EnergyModelConfig config_;
 };
 
 }  // namespace metaai::sim

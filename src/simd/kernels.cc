@@ -58,17 +58,6 @@ Complex ComplexDotScalar(const Complex* a, const Complex* b, std::size_t n) {
   return acc;
 }
 
-void ButterflyPassScalar(Complex* even, Complex* odd, const Complex* twiddles,
-                         std::size_t count, bool inverse) {
-  for (std::size_t k = 0; k < count; ++k) {
-    const Complex w = inverse ? std::conj(twiddles[k]) : twiddles[k];
-    const Complex e = even[k];
-    const Complex t = odd[k] * w;
-    even[k] = e + t;
-    odd[k] = e - t;
-  }
-}
-
 void HardDecideQamScalar(const Complex* symbols, std::size_t n, int levels,
                          double norm, int half_bits, std::uint32_t* values) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -97,17 +86,6 @@ Complex ComplexDot(const Complex* a, const Complex* b, std::size_t n) {
   }
 #endif
   return ComplexDotScalar(a, b, n);
-}
-
-void ButterflyPass(Complex* even, Complex* odd, const Complex* twiddles,
-                   std::size_t count, bool inverse) {
-#if defined(__x86_64__)
-  if (ActiveLevel() == Level::kAvx2) {
-    detail::ButterflyPassAvx2(even, odd, twiddles, count, inverse);
-    return;
-  }
-#endif
-  ButterflyPassScalar(even, odd, twiddles, count, inverse);
 }
 
 void HardDecideQam(const Complex* symbols, std::size_t n, int levels,

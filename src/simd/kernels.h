@@ -1,4 +1,4 @@
-// metaai::simd — runtime-dispatched kernels for the four hot loops of
+// metaai::simd — runtime-dispatched kernels for the three hot loops of
 // the OTA pipeline (see ROADMAP "raw speed"):
 //
 //   * PhasedSum      — channel apply / solver objective re-evaluation:
@@ -12,8 +12,6 @@
 //   * ComplexDot     — complex matvec row kernel on common::Matrix
 //                      storage (interleaved re/im), used by the NN
 //                      pre-activation matvec.
-//   * ButterflyPass  — one radix-2 FFT butterfly stage over contiguous
-//                      even/odd halves with a contiguous twiddle table.
 //   * HardDecideQam  — Gray-mapped square-QAM hard decisions for a batch
 //                      of received symbols.
 //
@@ -68,19 +66,6 @@ Complex PhasedSumScalar(const double* re, const double* im,
 /// this is the matvec row kernel, not an inner product).
 Complex ComplexDot(const Complex* a, const Complex* b, std::size_t n);
 Complex ComplexDotScalar(const Complex* a, const Complex* b, std::size_t n);
-
-/// One radix-2 butterfly pass over `count` pairs:
-///   t       = odd[k] * w[k]    (w conjugated when `inverse`)
-///   e       = even[k]
-///   even[k] = e + t,  odd[k] = e - t
-/// with contiguous even/odd halves and a contiguous twiddle table of
-/// `count` entries. Pure per-element arithmetic — no cross-lane
-/// reduction — so scalar and AVX2 agree to the last ulp up to compiler
-/// FMA contraction of the scalar complex multiply.
-void ButterflyPass(Complex* even, Complex* odd, const Complex* twiddles,
-                   std::size_t count, bool inverse);
-void ButterflyPassScalar(Complex* even, Complex* odd, const Complex* twiddles,
-                         std::size_t count, bool inverse);
 
 /// Gray-mapped hard decisions for square QAM: for each symbol, both PAM
 /// axes are scaled back to odd-integer amplitudes (`norm`), decided to

@@ -137,40 +137,6 @@ Complex ComplexDotAvx2(const Complex* a, const Complex* b, std::size_t n) {
   return {sum_re, sum_im};
 }
 
-void ButterflyPassAvx2(Complex* even, Complex* odd, const Complex* twiddles,
-                       std::size_t count, bool inverse) {
-  double* pe = reinterpret_cast<double*>(even);
-  double* po = reinterpret_cast<double*>(odd);
-  const double* pw = reinterpret_cast<const double*>(twiddles);
-  // Conjugating the twiddle = flipping the sign of its imaginary lanes.
-  const __m256d conj_mask =
-      inverse ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0) : _mm256_setzero_pd();
-  const std::size_t c2 = count & ~std::size_t{1};
-  for (std::size_t k = 0; k < c2; k += 2) {
-    const __m256d w = _mm256_xor_pd(_mm256_loadu_pd(pw + 2 * k), conj_mask);
-    const __m256d w_re = _mm256_movedup_pd(w);
-    const __m256d w_im = _mm256_permute_pd(w, 0xF);
-    const __m256d o = _mm256_loadu_pd(po + 2 * k);
-    const __m256d o_swap = _mm256_permute_pd(o, 0x5);
-    // (or*wr - oi*wi, oi*wr + or*wi): addsub subtracts in even lanes
-    // and adds in odd lanes.
-    const __m256d t = _mm256_addsub_pd(_mm256_mul_pd(o, w_re),
-                                       _mm256_mul_pd(o_swap, w_im));
-    const __m256d e = _mm256_loadu_pd(pe + 2 * k);
-    _mm256_storeu_pd(pe + 2 * k, _mm256_add_pd(e, t));
-    _mm256_storeu_pd(po + 2 * k, _mm256_sub_pd(e, t));
-  }
-  for (std::size_t k = c2; k < count; ++k) {
-    const Complex w = inverse ? std::conj(twiddles[k]) : twiddles[k];
-    const Complex e = even[k];
-    const double t_re = odd[k].real() * w.real() - odd[k].imag() * w.imag();
-    const double t_im = odd[k].imag() * w.real() + odd[k].real() * w.imag();
-    const Complex t{t_re, t_im};
-    even[k] = e + t;
-    odd[k] = e - t;
-  }
-}
-
 void HardDecideQamAvx2(const Complex* symbols, std::size_t n, int levels,
                        double norm, int half_bits, std::uint32_t* values) {
   const double* ps = reinterpret_cast<const double*>(symbols);

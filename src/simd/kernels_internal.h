@@ -15,8 +15,6 @@ namespace metaai::simd::detail {
 Complex PhasedSumAvx2(const double* re, const double* im,
                       const std::uint8_t* codes, std::size_t n);
 Complex ComplexDotAvx2(const Complex* a, const Complex* b, std::size_t n);
-void ButterflyPassAvx2(Complex* even, Complex* odd, const Complex* twiddles,
-                       std::size_t count, bool inverse);
 void HardDecideQamAvx2(const Complex* symbols, std::size_t n, int levels,
                        double norm, int half_bits, std::uint32_t* values);
 

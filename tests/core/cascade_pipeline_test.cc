@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/controller_service.h"
 #include "core/deployment.h"
 #include "core/fault_recovery.h"
 #include "core/recalibration.h"
@@ -90,10 +89,6 @@ TEST(CascadePipelineTest, TemporaryGraphIsRejectedAtCompileTime) {
                                         std::vector<DeviceSpec>>);
   static_assert(!std::is_constructible_v<SharedSurfaceScheduler, Temporary,
                                          std::vector<DeviceSpec>>);
-  static_assert(std::is_constructible_v<ControllerService, TrainedModel,
-                                        Graph, sim::OtaLinkConfig>);
-  static_assert(!std::is_constructible_v<ControllerService, TrainedModel,
-                                         Temporary, sim::OtaLinkConfig>);
   static_assert(CanRecoverOver<Graph>);
   static_assert(!CanRecoverOver<Temporary>);
   static_assert(CanRecalibrateOver<Graph>);

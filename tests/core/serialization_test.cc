@@ -213,5 +213,110 @@ TEST_F(SerializationTest, EmptySchedulesAreInvalidArguments) {
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument);
 }
 
+// Every count a file supplies is bounded by what the rest of the file can
+// hold before anything is sized by it: a hostile count is a kParseError
+// that names the count, never a std::length_error or a huge allocation.
+class HostileCountTest : public SerializationTest {
+ protected:
+  std::filesystem::path Write(const std::string& text) {
+    const auto path = dir_ / "hostile.txt";
+    std::ofstream out(path);
+    out << text;
+    return path;
+  }
+
+  template <typename T>
+  void ExpectCountRejected(const Result<T>& result, const std::string& count) {
+    ASSERT_FALSE(result.ok()) << count;
+    EXPECT_EQ(result.error().code, ErrorCode::kParseError) << count;
+    EXPECT_NE(result.error().message.find(count + " exceeds"),
+              std::string::npos)
+        << result.error().message;
+  }
+
+  // A valid 1x2 QPSK model, then `trailer`.
+  Result<TrainedModel> LoadModel(const std::string& trailer) {
+    return TryLoadModel(
+        Write("metaai-model-v1\nQPSK\n1 2\n0.5 0.25\n-0.5 1\n" + trailer));
+  }
+
+  // A valid 4-atom pattern file with `rounds`, `symbols` and one round,
+  // then `trailer`.
+  Result<MappedSchedules> LoadPatterns(const std::string& header,
+                                       const std::string& round,
+                                       const std::string& trailer = "") {
+    return TryLoadPatterns(
+        Write("metaai-patterns-v1\n" + header + " 4\n1.5 0.01\n" + round +
+              trailer),
+        4);
+  }
+};
+
+constexpr const char* kHuge = "4611686018427387904";  // 2^62
+constexpr const char* kValidLayer =
+    "16 16 1 5250000000 0.12 60 1 1 5250000000\n";
+
+TEST_F(HostileCountTest, ModelClassCount) {
+  ExpectCountRejected(
+      TryLoadModel(Write(std::string("metaai-model-v1\nQPSK\n") + kHuge +
+                         " 1\n0 0\n")),
+      "model class count");
+}
+
+TEST_F(HostileCountTest, ModelInputDim) {
+  ExpectCountRejected(
+      TryLoadModel(Write(std::string("metaai-model-v1\nQPSK\n1 ") + kHuge +
+                         "\n0 0\n")),
+      "model input dim");
+}
+
+TEST_F(HostileCountTest, ModelLayerCount) {
+  ExpectCountRejected(
+      LoadModel(std::string("layers ") + kHuge + "\n" + kValidLayer),
+      "layer count");
+}
+
+TEST_F(HostileCountTest, ModelBandCount) {
+  ExpectCountRejected(
+      LoadModel(std::string("layers 1\n16 16 1 5250000000 0.12 60 1 ") +
+                kHuge + " 5250000000\n"),
+      "band count");
+}
+
+TEST_F(HostileCountTest, PatternRoundCount) {
+  ExpectCountRejected(LoadPatterns(std::string(kHuge) + " 1", "1 0\n00\n"),
+                      "round count");
+}
+
+TEST_F(HostileCountTest, PatternSymbolCount) {
+  ExpectCountRejected(LoadPatterns(std::string("1 ") + kHuge, "1 0\n00\n"),
+                      "symbol count");
+}
+
+TEST_F(HostileCountTest, PatternRoundOutputCount) {
+  ExpectCountRejected(LoadPatterns("1 1", std::string(kHuge) + " 0\n00\n"),
+                      "round output count");
+}
+
+TEST_F(HostileCountTest, PatternUpperLayerCount) {
+  ExpectCountRejected(
+      LoadPatterns("1 1", "1 0\n00\n",
+                   std::string("upper ") + kHuge + " 4\n0\n"),
+      "upper layer count");
+}
+
+TEST_F(HostileCountTest, PatternUpperAtomCount) {
+  ExpectCountRejected(
+      LoadPatterns("1 1", "1 0\n00\n",
+                   std::string("upper 1 ") + kHuge + "\n0\n"),
+      "upper atom count");
+}
+
+// The fixtures above differ from loadable files only in the hostile count.
+TEST_F(HostileCountTest, FixturesLoadWithSaneCounts) {
+  EXPECT_TRUE(LoadModel(std::string("layers 1\n") + kValidLayer).ok());
+  EXPECT_TRUE(LoadPatterns("1 1", "1 0\n00\n", "upper 1 4\n00\n").ok());
+}
+
 }  // namespace
 }  // namespace metaai::core

@@ -72,5 +72,17 @@ TEST(FaultPlanTest, OutOfRangeValuesAreInvalidArguments) {
   }
 }
 
+// NaN slips past every range check and an infinite drift or age makes
+// the link's steering non-finite, so non-finite numbers are malformed.
+TEST(FaultPlanTest, NonFiniteValuesAreParseErrors) {
+  for (const char* spec :
+       {"stuck=nan", "chain=nan", "drift=nan", "drift=inf", "age=inf",
+        "age=-inf", "burst=nan:1", "burst=0.1:inf", "stuck=1e400"}) {
+    const Result<FaultPlan> result = TryParseFaultSpec(spec);
+    ASSERT_FALSE(result.ok()) << spec;
+    EXPECT_EQ(result.error().code, ErrorCode::kParseError) << spec;
+  }
+}
+
 }  // namespace
 }  // namespace metaai::fault

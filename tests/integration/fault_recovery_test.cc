@@ -155,25 +155,36 @@ TEST_F(FaultRecoveryTest, WatchdogTripsDiagnosesAndRecovers) {
   faulty_config.faults = injector;
   const core::Deployment degraded(*model_, graph_, faulty_config);
 
+  // The drift alert carries the degraded accuracy as its observed value,
+  // the way the health layer's accuracy proxy would report it.
+  Rng deg_rng(19);
+  obs::health::Alert drift;
+  drift.kind = obs::health::AlertKind::kDriftDetected;
+  drift.rule = "accuracy_drift";
+  drift.value =
+      degraded.EvaluateAccuracyAtOffset(dataset_->test, 0.0, deg_rng, 64);
+
   Rng rng(19);
   core::FaultWatchdogConfig watchdog_config;
   watchdog_config.diagnosis.probe_symbols = 128;
-  const core::FaultWatchdogResult result = core::RunFaultWatchdog(
+  const core::FaultWatchdogResult result = core::RunFaultWatchdogOnAlert(
       *model_, graph_, faulty_config, {}, degraded, dataset_->test, reference,
-      rng, watchdog_config);
+      drift, rng, watchdog_config);
   ASSERT_TRUE(result.report.tripped);
   ASSERT_TRUE(result.recovered.has_value());
   EXPECT_EQ(result.report.num_stuck_detected, injector->num_stuck());
   EXPECT_GT(result.report.recovered_accuracy,
             result.report.observed_accuracy);
 
-  // A healthy deployment must not trip.
-  Rng quiet_rng(21);
-  const core::FaultWatchdogResult quiet = core::RunFaultWatchdog(
-      *model_, graph_, healthy_config, {}, healthy, dataset_->test, reference,
-      quiet_rng);
-  EXPECT_FALSE(quiet.report.tripped);
-  EXPECT_FALSE(quiet.recovered.has_value());
+  // Only a drift-class or critical alert may trip the watchdog.
+  obs::health::Alert threshold;
+  threshold.kind = obs::health::AlertKind::kThreshold;
+  threshold.severity = obs::health::AlertSeverity::kWarning;
+  Rng bad_rng(21);
+  EXPECT_THROW(core::RunFaultWatchdogOnAlert(
+                   *model_, graph_, faulty_config, {}, degraded,
+                   dataset_->test, reference, threshold, bad_rng),
+               CheckError);
 }
 
 TEST_F(FaultRecoveryTest, FaultPipelineIsSeedStable) {

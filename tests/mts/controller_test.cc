@@ -36,9 +36,8 @@ TEST(ControllerTest, LoadTimeScalesInverselyWithClock)
   fast.shift_clock_hz = 2e6;
   EXPECT_GT(Controller(slow).PatternLoadTime(),
             Controller(fast).PatternLoadTime());
-  EXPECT_NEAR(Controller(slow).PatternLoadTime() - slow.latch_overhead_s,
-              2.0 * (Controller(fast).PatternLoadTime() -
-                     fast.latch_overhead_s),
+  EXPECT_NEAR(Controller(slow).PatternLoadTime() - kLatchOverheadS,
+              2.0 * (Controller(fast).PatternLoadTime() - kLatchOverheadS),
               1e-12);
 }
 

@@ -77,6 +77,26 @@ TEST(LayerGraphTest, TryFromSpecsRejectsInvalidGraphs) {
   EXPECT_THROW(LayerGraph(std::vector<PhysicalLayerSpec>{}), CheckError);
 }
 
+// Specs the Metasurface constructor would Check-abort on (or could not
+// allocate) come back as typed errors, so a corrupt model file's layer
+// trailer is a load error instead of an exception.
+TEST(LayerGraphTest, TryFromSpecsRejectsSurfacesTheConstructorCannotBuild) {
+  MetasurfaceSpec no_bands = SmallSpec(8, 8);
+  no_bands.supported_bands_hz.clear();
+  MetasurfaceSpec zero_frequency = SmallSpec(8, 8);
+  zero_frequency.design_frequency_hz = 0.0;
+  MetasurfaceSpec nan_frequency = SmallSpec(8, 8);
+  nan_frequency.design_frequency_hz = std::numeric_limits<double>::quiet_NaN();
+  const MetasurfaceSpec huge = SmallSpec(std::size_t{1} << 40, 1 << 10);
+  for (const MetasurfaceSpec& spec :
+       {no_bands, zero_frequency, nan_frequency, huge}) {
+    const auto graph =
+        LayerGraph::TryFromSpecs({{SmallSpec(16, 16), 1.0}, {spec, 1.0}});
+    ASSERT_FALSE(graph.ok());
+    EXPECT_EQ(graph.error().code, ErrorCode::kInvalidArgument);
+  }
+}
+
 // Synthetic steering rows with deterministic (non-random) variation, so
 // the solver tests do not depend on any channel model.
 ComplexMatrix SyntheticSteering(std::size_t targets, std::size_t atoms,

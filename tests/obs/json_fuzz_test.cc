@@ -24,9 +24,12 @@
 #include "obs/report.h"
 #include "obs/timeseries.h"
 #include "testutil/bench_json.h"
+#include "testutil/mutate.h"
 
 namespace metaai::obs {
 namespace {
+
+using testutil::Mutate;
 
 constexpr std::size_t kMutantsPerSeed = 1500;
 
@@ -37,46 +40,6 @@ std::string ReadSourceFile(const std::string& relative) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-std::size_t Pick(Rng& rng, std::size_t n) {
-  return n == 0 ? 0 : static_cast<std::size_t>(rng.UniformInt(n));
-}
-
-/// Applies 1-4 random edits to `text`.
-std::string Mutate(std::string text, Rng& rng) {
-  static constexpr char kPunctuation[] = "{}[]\":,-+.eE0\\\n u";
-  const int edits = rng.UniformInt(1, 4);
-  for (int e = 0; e < edits; ++e) {
-    const std::size_t pos = Pick(rng, text.size() + 1);
-    const std::size_t len = 1 + Pick(rng, 16);
-    switch (rng.UniformInt(0, 4)) {
-      case 0:  // flip one bit of one byte
-        if (!text.empty()) {
-          text[Pick(rng, text.size())] ^=
-              static_cast<char>(1u << rng.UniformInt(0, 7));
-        }
-        break;
-      case 1:  // truncate
-        text.resize(Pick(rng, text.size() + 1));
-        break;
-      case 2:  // delete a range
-        if (pos < text.size()) text.erase(pos, len);
-        break;
-      case 3: {  // duplicate a range somewhere else
-        if (text.empty()) break;
-        const std::size_t from = Pick(rng, text.size());
-        const std::string chunk = text.substr(from, len);
-        text.insert(Pick(rng, text.size() + 1), chunk);
-        break;
-      }
-      default:  // insert JSON punctuation
-        text.insert(pos, 1,
-                    kPunctuation[Pick(rng, sizeof(kPunctuation) - 1)]);
-        break;
-    }
-  }
-  return text;
 }
 
 /// Runs `read`; returns true when it returned, false when it threw

@@ -1,8 +1,8 @@
 // Scalar-vs-AVX2 parity suite for the dispatched hot-loop kernels.
 //
 // Per-kernel contract (simd/kernels.h):
-//   * ButterflyPass and HardDecideQam are pure per-element arithmetic —
-//     scalar and AVX2 must agree bitwise;
+//   * HardDecideQam is pure per-element arithmetic — scalar and AVX2
+//     must agree bitwise;
 //   * PhasedSum and ComplexDot lane-parallelize a reduction — AVX2 may
 //     reassociate the sum, so parity is pinned to a tight relative
 //     envelope scaled by the magnitude sum (the worst reassociation
@@ -123,36 +123,6 @@ TEST(ComplexDotParityTest, DispatchMatchesScalarAcrossShapes) {
     if (Avx2Supported()) {
       ScopedLevel force(Level::kAvx2);
       ExpectReductionParity(ComplexDot(a.data(), b.data(), n), scalar, scale);
-    }
-  }
-}
-
-TEST(ButterflyPassParityTest, DispatchIsBitwiseAcrossShapes) {
-  for (const std::size_t n : kShapes) {
-    for (const bool inverse : {false, true}) {
-      Rng rng(0xBF17 + n);
-      std::vector<Complex> even(n), odd(n), twiddles(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        even[i] = Complex(rng.Normal(), rng.Normal());
-        odd[i] = Complex(rng.Normal(), rng.Normal());
-        const double angle = rng.Uniform(0.0, 6.283185307179586);
-        twiddles[i] = Complex(std::cos(angle), std::sin(angle));
-      }
-      std::vector<Complex> even_s = even, odd_s = odd;
-      ButterflyPassScalar(even_s.data(), odd_s.data(), twiddles.data(), n,
-                          inverse);
-      for (const Level level : {Level::kScalar, Level::kAvx2}) {
-        if (level == Level::kAvx2 && !Avx2Supported()) continue;
-        std::vector<Complex> even_d = even, odd_d = odd;
-        ScopedLevel force(level);
-        ButterflyPass(even_d.data(), odd_d.data(), twiddles.data(), n,
-                      inverse);
-        // Per-element arithmetic: bitwise across dispatch paths.
-        EXPECT_EQ(even_d, even_s) << "n=" << n << " level=" << LevelName(level)
-                                  << " inverse=" << inverse;
-        EXPECT_EQ(odd_d, odd_s) << "n=" << n << " level=" << LevelName(level)
-                                << " inverse=" << inverse;
-      }
     }
   }
 }

@@ -19,7 +19,8 @@
 #      nearest-rank indexing, per-layer row scaling) where UB hides
 #      behind ASan's noise floor. The JSON/JSONL reader, export, bench
 #      diff and obs-report suites (JsonFuzz included) run here too, with
-#      metaai_obs_report built for the ObsReportGolden test.
+#      metaai_obs_report built for the ObsReportGolden test, and so does
+#      ParserFuzz over the model/pattern file loaders and fault specs.
 #   5. SIMD parity + determinism under both dispatch paths: the kernel
 #      parity/determinism suites and the solver/mapper determinism
 #      suites run twice — METAAI_SIMD=off (forced scalar) and
@@ -60,12 +61,13 @@ echo "=== [4/6] UBSan on obs + serve suites"
 cmake -B "${prefix}-ubsan" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=Debug -DMETAAI_SANITIZE=undefined -DMETAAI_OBS=ON
 cmake --build "${prefix}-ubsan" -j"$(nproc)" \
-  --target test_obs test_serve test_mts test_fleet metaai_obs_report
+  --target test_obs test_serve test_mts test_fleet test_parser_fuzz \
+  metaai_obs_report
 ubsan_filter='Ewma|Cusum|PageHinkley|WindowedQuantile|HealthMonitor'
 ubsan_filter+='|HealthSignals|ObserveProbe|Alert|Quantile|Percentile|Serve'
 ubsan_filter+='|Lifecycle|TimeSeries|LayerGraph|CascadeSolver|Fleet|Workload'
 ubsan_filter+='|Json|Export|BenchDiff|DiffBench|DistillBaseline'
-ubsan_filter+='|ExtractBenchMetric|ProbeJsonl|ObsReport'
+ubsan_filter+='|ExtractBenchMetric|ProbeJsonl|ObsReport|ParserFuzz'
 ctest --test-dir "${prefix}-ubsan" --output-on-failure -R "${ubsan_filter}"
 
 echo "=== [5/6] SIMD parity + determinism under both dispatch paths"
