@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the heavy kernels: digital LNN
 // inference, CNN inference, the metasurface configuration solver, one
 // over-the-air symbol-sequence transmission (plus a depth-3 cascade one,
-// with and without a prepared response plan), and the dispatched SIMD
+// with and without a prepared response plan, and a receive-bound one,
+// combiner vs sub-sample reference), and the dispatched SIMD
 // kernels (simd/kernels.h) in scalar-vs-AVX2 arms. These ground the
 // energy model's server-compute assumptions in measured numbers on this
-// machine and gate two wins: vectorization (>= 2x on at least two
-// kernels when the host has AVX2) and prepared plans (>= 1.8x on the
-// cascade transmission).
+// machine and gate three wins: vectorization (>= 2x on at least two
+// kernels when the host has AVX2), prepared plans (>= 1.8x on the
+// cascade transmission) and the closed-form receive combiner (>= 2.5x
+// over the sub-sample reference receiver).
 //
 // Counter hygiene: google-benchmark picks its iteration counts
 // adaptively, so any obs counters emitted inside the timing loops are
@@ -24,6 +26,7 @@
 #include "data/encoding.h"
 #include "nn/conv_net.h"
 #include "simd/kernels.h"
+#include "testutil/reference_link.h"
 
 namespace metaai::bench {
 namespace {
@@ -129,6 +132,45 @@ void BM_OtaTransmitCascade(benchmark::State& state, bool prepared) {
 }
 BENCHMARK_CAPTURE(BM_OtaTransmitCascade, unprepared, false);
 BENCHMARK_CAPTURE(BM_OtaTransmitCascade, prepared, true);
+
+// Receive combining: one 64-symbol, two-subcarrier transmission with a
+// fractional clock offset, received by the sub-sample reference
+// (testutil/reference_link.h: one AWGN draw per sub-sample, then group
+// and pair) or by the link's closed-form combiner (one draw per symbol).
+// A 4x4 panel keeps the Eqn 4 sums negligible, so both arms time the
+// receive path. GateExactCombiner scores them.
+void BM_OtaReceive(benchmark::State& state, bool combiner) {
+  constexpr std::size_t kSymbols = 64;
+  const mts::LayerGraph graph(
+      mts::Metasurface{mts::MetasurfaceSpec{.rows = 4, .cols = 4}});
+  sim::OtaLinkConfig config = DefaultLinkConfig();
+  config.mts_phase_noise_std = 0.0;  // the reference needs ideal devices
+  config.observations = {sim::Observation{},
+                         sim::Observation{.freq_offset_hz = 40e3,
+                                          .harmonic = 1}};
+  const sim::OtaLink link(graph, config);
+  Rng rng(11);
+  sim::MtsSchedule schedule(kSymbols,
+                            std::vector<mts::PhaseCode>(graph.front().num_atoms()));
+  for (auto& codes : schedule) {
+    for (auto& code : codes) {
+      code = static_cast<mts::PhaseCode>(rng.UniformInt(std::uint64_t{4}));
+    }
+  }
+  std::vector<sim::Complex> data(kSymbols);
+  for (sim::Complex& x : data) x = rng.UnitPhasor();
+  const sim::LayerSchedules no_upper;
+  Rng noise_rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        combiner ? link.TransmitSequence(data, schedule, no_upper, 0.3,
+                                         noise_rng)
+                 : testutil::ReferenceTransmit(link, data, schedule, no_upper,
+                                               0.3, noise_rng));
+  }
+}
+BENCHMARK_CAPTURE(BM_OtaReceive, reference, false);
+BENCHMARK_CAPTURE(BM_OtaReceive, combiner, true);
 
 void BM_WeightMappingPerSymbol(benchmark::State& state) {
   const auto& ds = SharedDataset();
@@ -361,6 +403,33 @@ int GatePreparedLink(const std::map<std::string, double>& times_ns) {
   return 0;
 }
 
+/// Scores the receive arms: the closed-form combiner must run at least
+/// 2.5x faster than the sub-sample reference. Skipped when a
+/// --benchmark_filter left either arm out.
+int GateExactCombiner(const std::map<std::string, double>& times_ns) {
+  constexpr double kMinSpeedup = 2.5;
+  const auto reference = times_ns.find("BM_OtaReceive/reference");
+  const auto combiner = times_ns.find("BM_OtaReceive/combiner");
+  if (reference == times_ns.end() || combiner == times_ns.end()) {
+    std::cout << "(receive arms filtered out; gate skipped)\n";
+    return 0;
+  }
+  const double speedup = reference->second / combiner->second;
+  Table table("64-symbol receive: sub-sample reference vs combiner",
+              {"Reference ns", "Combiner ns", "Speedup"});
+  table.AddRow({FormatDouble(reference->second, 1),
+                FormatDouble(combiner->second, 1), FormatDouble(speedup, 2)});
+  table.Print(std::cout);
+  if (speedup < kMinSpeedup) {
+    std::fprintf(stderr,
+                 "FAILED: combiner only %.2fx faster than the sub-sample "
+                 "reference (need %.1fx)\n",
+                 speedup, kMinSpeedup);
+    return 1;
+  }
+  return 0;
+}
+
 // Console reporter that also records each benchmark's adjusted real
 // time as a BenchReport headline, so micro-kernel timings land in
 // BENCH_micro_kernels.json alongside the other bench documents and can
@@ -409,5 +478,7 @@ int main(int argc, char** argv) {
   metaai::bench::FixedIterationCounterPass();
   const int simd_gate = metaai::bench::GateSimdSpeedups(times_ns);
   const int plan_gate = metaai::bench::GatePreparedLink(times_ns);
-  return simd_gate != 0 ? simd_gate : plan_gate;
+  const int combiner_gate = metaai::bench::GateExactCombiner(times_ns);
+  return simd_gate != 0 ? simd_gate
+                        : (plan_gate != 0 ? plan_gate : combiner_gate);
 }

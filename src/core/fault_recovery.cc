@@ -195,25 +195,22 @@ FaultWatchdogResult RunFaultWatchdogOnAlert(
   Check(alert.kind == obs::health::AlertKind::kDriftDetected ||
             alert.severity == obs::health::AlertSeverity::kCritical,
         "alert-driven watchdog expects a drift or critical alert");
-  FaultWatchdogResult result;
-  result.report.reference_accuracy = reference_accuracy;
-  // The trip came from the online health layer, not a spot-check:
-  // record the alerting signal's observed value (an accuracy proxy).
-  result.report.observed_accuracy = alert.value;
-  result.report.tripped = true;
   obs::Count("fault.watchdog_alert_trips");
-
   const FaultDiagnosis diagnosis =
       DiagnoseDeployment(deployment, rng, config.diagnosis);
-  result.report.num_stuck_detected = diagnosis.num_stuck;
-  result.report.wdd_ratio = diagnosis.wdd_ratio;
   // Re-solve even when nothing is stuck: the measured steering also
   // repairs drift-induced miscalibration.
-  result.recovered.emplace(
-      RecoverFromFaults(model, graph, link_config, options, diagnosis));
-  result.report.recovered_accuracy =
-      result.recovered->EvaluateAccuracyAtOffset(test, 0.0, rng,
-                                                 config.check_samples);
+  FaultWatchdogResult result{
+      // The trip came from the online health layer, not a spot-check:
+      // record the alerting signal's observed value (an accuracy proxy).
+      .report = {.observed_accuracy = alert.value,
+                 .reference_accuracy = reference_accuracy,
+                 .num_stuck_detected = diagnosis.num_stuck,
+                 .wdd_ratio = diagnosis.wdd_ratio},
+      .recovered =
+          RecoverFromFaults(model, graph, link_config, options, diagnosis)};
+  result.report.recovered_accuracy = result.recovered.EvaluateAccuracyAtOffset(
+      test, 0.0, rng, config.check_samples);
   obs::SetGauge("deploy.recovered_accuracy", result.report.recovered_accuracy);
   if (obs::ProbesEnabled()) {
     obs::Probe(

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/deployment.h"
@@ -94,18 +93,17 @@ struct FaultWatchdogConfig {
 struct FaultWatchdogReport {
   double observed_accuracy = 0.0;
   double reference_accuracy = 0.0;
-  bool tripped = false;
   std::size_t num_stuck_detected = 0;
   double wdd_ratio = 1.0;
   /// Accuracy of the recovered deployment on `check_samples` test
-  /// samples (only meaningful when tripped).
+  /// samples.
   double recovered_accuracy = 0.0;
 };
 
 struct FaultWatchdogResult {
   FaultWatchdogReport report;
-  /// Engaged when the watchdog tripped and a re-solve ran.
-  std::optional<Deployment> recovered;
+  /// The re-solved deployment.
+  Deployment recovered;
 };
 
 /// Alert-driven fault watchdog: a drift alert from the health layer

@@ -1,5 +1,6 @@
 #include "fault/plan.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -25,10 +26,14 @@ Result<double> ParseDouble(const std::string& key, const std::string& text) {
   return value;
 }
 
+// strtoull negates a leading '-' (so "-1" wraps to 2^64 - 1) and
+// saturates out-of-range values with ERANGE; both are malformed seeds.
 Result<std::uint64_t> ParseSeed(const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || text.empty()) {
+  if (end == nullptr || *end != '\0' || text.empty() ||
+      text.find('-') != std::string::npos || errno == ERANGE) {
     return Error{ErrorCode::kParseError,
                  "fault spec: bad seed '" + text + "'"};
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <span>
 
 #include "common/check.h"
 #include "obs/obs.h"
@@ -30,6 +32,159 @@ DirectPathAngles DirectAngles(const mts::LinkGeometry& geometry) {
   const rf::Vec3 rx_to_tx = tx - rx;
   return {rf::AngleBetween(tx_boresight, tx_to_rx),
           rf::AngleBetween(rx_boresight, rx_to_tx)};
+}
+
+
+// ---------------------------------------------------------------------
+// Receive combining. With multipath cancellation active the receiver
+// exploits the §3.2 observation that the MTS breaks the zero-mean
+// property: it samples several points per symbol, groups them by the
+// (estimated) MTS slot state and the data pulse sign, and averages the
+// matched pairs
+//     (unflipped, +pulse) & (flipped, -pulse)   ->  +w x   (env cancels)
+//     (flipped,  +pulse) & (unflipped, -pulse)  ->  -w x   (env cancels)
+// so a static environment path cancels exactly for ANY fractional clock
+// offset, and a residual integer-symbol shift remains for CDFA training
+// to absorb. Slot boundaries are assumed estimable at the receiver (the
+// MTS-modulated envelope exposes them); the simulator hands it the true
+// boundary phase. Without cancellation the receiver plainly averages.
+//
+// Every step is linear in the sub-samples r_j, so the receiver is a
+// real weight c_j per sub-sample: z = sum_j c_j r_j. The weights depend
+// only on which MTS slot each sub-sample sees (clock offset,
+// oversampling, cancellation, clamping at the schedule edges), never on
+// the observation or the data. The sub-sample noise is i.i.d.
+// CN(0, s2), so the combined noise is exactly CN(0, s2 sum_j c_j^2): one
+// draw per (observation, symbol) instead of one per sub-sample. The
+// signal part collapses onto the at most three slot responses the
+// window covers, weighted by sum_j c_j pulse_j over each slot.
+// ---------------------------------------------------------------------
+
+/// Groups of sub-samples per window: a data-symbol window spans at most
+/// three half-symbol slots, each under both pulse signs.
+constexpr std::size_t kMaxGroups = 6;
+
+/// The MTS slot one sub-sample sees: its symbol relative to the data
+/// symbol being received, and whether it is the flipped half.
+struct SubSample {
+  std::ptrdiff_t symbol_delta = 0;
+  bool flipped = false;
+  bool operator==(const SubSample&) const = default;
+};
+
+/// One data symbol's receive combiner, collapsed onto the slots its
+/// window covers.
+struct Combiner {
+  struct Slot {
+    std::ptrdiff_t symbol_delta = 0;
+    bool flipped = false;
+    /// sum_j c_j pulse_j over the slot's sub-samples.
+    double weight = 0.0;
+  };
+  std::array<Slot, kMaxGroups> slots;  // at most one per group
+  std::size_t num_slots = 0;
+  /// sum_j c_j pulse_j: the weight of the environment path.
+  double env_weight = 0.0;
+  /// sum_j c_j^2: the combined noise variance per unit sub-sample noise.
+  double weight_sq_sum = 0.0;
+};
+
+/// Derives the combiner of one window from its sub-samples. The first
+/// half of the sub-samples carries the +pulse under cancellation.
+Combiner DeriveCombiner(std::span<const SubSample> samples,
+                        bool cancellation) {
+  const std::size_t oversample = samples.size();
+  // Sub-samples grouped by (slot, pulse sign). All sub-samples of a group
+  // share one weight.
+  struct Group {
+    SubSample slot;
+    bool pulse_positive = false;
+    std::size_t count = 0;
+    double weight = 0.0;
+  };
+  std::array<Group, kMaxGroups> groups;
+  std::size_t num_groups = 0;
+  for (std::size_t j = 0; j < oversample; ++j) {
+    const bool pulse_positive = !cancellation || j < oversample / 2;
+    Group* group = nullptr;
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      if (groups[g].slot == samples[j] &&
+          groups[g].pulse_positive == pulse_positive) {
+        group = &groups[g];
+        break;
+      }
+    }
+    if (group == nullptr) {
+      Check(num_groups < kMaxGroups,
+            "receive window spans more than three MTS slots");
+      group = &groups[num_groups++];
+      *group = {samples[j], pulse_positive, 0, 0.0};
+    }
+    ++group->count;
+  }
+  const std::span<Group> found(groups.data(), num_groups);
+
+  if (!cancellation) {
+    for (Group& g : found) g.weight = 1.0 / static_cast<double>(oversample);
+  } else {
+    // A pair (f1, +pulse) x (f2, -pulse) with f1 != f2 cancels the
+    // environment: mean_A + mean_B = ((-1)^{f1} w_A + (-1)^{f1} w_B) x,
+    // so +-(w_A + w_B)/2 * x survives. Same-symbol pairs recover w x
+    // exactly; cross-symbol pairs give the benign two-weight average.
+    // Pair (A, B) enters z as n * sign * (mean_A + mean_B) / 2 over the
+    // total pair weight, n = |A| + |B|: each sub-sample of A carries
+    // n * sign / (2 |A|) of it.
+    double total = 0.0;
+    const auto combine_pairs = [&](bool same_symbol_only) {
+      for (Group& a : found) {
+        if (!a.pulse_positive) continue;
+        for (Group& b : found) {
+          if (b.pulse_positive || a.slot.flipped == b.slot.flipped) continue;
+          if (same_symbol_only !=
+              (a.slot.symbol_delta == b.slot.symbol_delta)) {
+            continue;
+          }
+          const double sign = a.slot.flipped ? -1.0 : 1.0;
+          const auto n = static_cast<double>(a.count + b.count);
+          a.weight += n * sign * 0.5 / static_cast<double>(a.count);
+          b.weight += n * sign * 0.5 / static_cast<double>(b.count);
+          total += n;
+        }
+      }
+    };
+    combine_pairs(/*same_symbol_only=*/true);
+    if (total == 0.0) combine_pairs(/*same_symbol_only=*/false);
+    for (Group& g : found) {
+      // No environment-cancelling pair at all (degenerate): fall back to
+      // pulse-matched averaging; the environment leaks.
+      g.weight = total > 0.0 ? g.weight / total
+                             : (g.pulse_positive ? 1.0 : -1.0) /
+                                   static_cast<double>(oversample);
+    }
+  }
+
+  // Sub-sample j contributes c_j * (A (w_slot + e) x pulse_j + n_j).
+  Combiner combiner;
+  for (const Group& g : found) {
+    const auto count = static_cast<double>(g.count);
+    const double signed_weight = (g.pulse_positive ? count : -count) * g.weight;
+    combiner.weight_sq_sum += count * g.weight * g.weight;
+    combiner.env_weight += signed_weight;
+    Combiner::Slot* slot = nullptr;
+    for (std::size_t s = 0; s < combiner.num_slots; ++s) {
+      if (combiner.slots[s].symbol_delta == g.slot.symbol_delta &&
+          combiner.slots[s].flipped == g.slot.flipped) {
+        slot = &combiner.slots[s];
+        break;
+      }
+    }
+    if (slot == nullptr) {
+      slot = &combiner.slots[combiner.num_slots++];
+      *slot = {g.slot.symbol_delta, g.slot.flipped, 0.0};
+    }
+    slot->weight += signed_weight;
+  }
+  return combiner;
 }
 
 }  // namespace
@@ -376,9 +531,7 @@ ComplexMatrix OtaLink::TransmitSequence(std::span<const Complex> data,
   obs::Count("link.transmissions");
   obs::Count("link.symbols", num_symbols);
   obs::Count("link.channel_applications", num_obs * num_symbols);
-  obs::Count("link.awgn_draws",
-             num_obs * num_symbols *
-                 static_cast<std::size_t>(config_.oversample));
+  obs::Count("link.awgn_draws", num_obs * num_symbols);
 
   if (const ComplexMatrix* plan = plans_.Find(&schedule, UpperKey(upper))) {
     return Receive(data, *plan, nullptr, mts_clock_offset_us, rng);
@@ -475,42 +628,21 @@ ComplexMatrix OtaLink::Receive(std::span<const Complex> data,
   const double subsample_noise_var =
       noise_power_ * static_cast<double>(oversample);
 
-  // ---------------------------------------------------------------
-  // Receive combining. With multipath cancellation active the receiver
-  // exploits the §3.2 observation that the MTS breaks the zero-mean
-  // property: it samples several points per symbol, groups them by the
-  // (estimated) MTS slot state and the data pulse sign, and averages the
-  // matched pairs
-  //     (unflipped, +pulse) & (flipped, -pulse)   ->  +w x   (env cancels)
-  //     (flipped,  +pulse) & (unflipped, -pulse)  ->  -w x   (env cancels)
-  // so a static environment path cancels exactly for ANY fractional clock
-  // offset, and a residual integer-symbol shift remains for CDFA training
-  // to absorb. Slot boundaries are assumed estimable at the receiver (the
-  // MTS-modulated envelope exposes them); the simulator hands it the true
-  // boundary phase. Without cancellation the receiver plainly averages.
-  // ---------------------------------------------------------------
-  struct GroupStats {
-    Complex sum{0.0, 0.0};
-    std::size_t count = 0;
-  };
-  // Sub-samples grouped by (slot symbol, flipped, pulse sign). A
-  // data-symbol window spans at most three half-symbol slots, so at most
-  // three (slot symbol, flipped) pairs, each under both pulse signs.
-  struct Group {
-    std::size_t symbol;
-    int flipped;
-    int pulse_positive;
-    GroupStats stats;
-  };
-  constexpr std::size_t kMaxGroups = 6;
+  // One window's sub-sample-to-slot assignment. Interior symbols repeat
+  // the previous symbol's assignment shifted by one symbol, and the
+  // combiner depends on nothing else, so it is re-derived only where the
+  // assignment changes (the schedule edges, where clamping bites).
+  std::vector<double> fraction(oversample);
+  for (std::size_t j = 0; j < oversample; ++j) {
+    fraction[j] =
+        (static_cast<double>(j) + 0.5) / static_cast<double>(oversample);
+  }
+  std::vector<SubSample> samples(oversample);
+  Combiner combiner;
 
   ComplexMatrix z(num_obs, num_symbols);
-  std::vector<std::size_t> slot_symbol_of(oversample);
-  std::vector<char> flipped_of(oversample);
-  std::vector<double> pulse_of(oversample);
-  std::vector<Complex> received(num_obs * oversample);
   // Row pointers: the loop below indexes every (observation, symbol)
-  // response several times per symbol.
+  // response once per slot the window covers.
   std::vector<const Complex*> base_rows(num_obs);
   std::vector<const Complex*> flip_rows(num_obs, nullptr);
   std::vector<const Complex*> env_rows(num_obs);
@@ -523,122 +655,53 @@ ComplexMatrix OtaLink::Receive(std::span<const Complex> data,
   }
 
   for (std::size_t i = 0; i < num_symbols; ++i) {
+    bool same_samples = i > 0;
     for (std::size_t j = 0; j < oversample; ++j) {
       // Data-clock time of this sub-sample.
-      const double t =
-          (static_cast<double>(i) +
-           (static_cast<double>(j) + 0.5) / static_cast<double>(oversample)) *
-          symbol_period_s;
-      // Zero-mean pulse when cancellation is active.
-      const double pulse = (config_.multipath_cancellation &&
-                            j >= oversample / 2)
-                               ? -1.0
-                               : 1.0;
+      const double t = (static_cast<double>(i) + fraction[j]) * symbol_period_s;
       // The slot the MTS is playing at this instant (its clock lags by
       // the offset). Clamped at the schedule edges: the surface holds its
       // first/last configuration outside the window.
-      const double mts_time = t - offset_s;
       auto slot = static_cast<std::ptrdiff_t>(
-          std::floor(mts_time / slot_duration_s));
+          std::floor((t - offset_s) / slot_duration_s));
       slot = std::clamp(slot, std::ptrdiff_t{0},
                         static_cast<std::ptrdiff_t>(num_slots) - 1);
-      const auto slot_symbol =
-          static_cast<std::size_t>(slot) / slots_per_symbol;
-      const bool flipped = config_.multipath_cancellation &&
-                           (static_cast<std::size_t>(slot) %
-                            slots_per_symbol) == 1;
-      slot_symbol_of[j] = slot_symbol;
-      flipped_of[j] = flipped ? 1 : 0;
-      pulse_of[j] = pulse;
-
-      for (std::size_t o = 0; o < num_obs; ++o) {
-        Complex mts_response;
-        if (flipped && base_flip != nullptr) {
-          mts_response = flip_rows[o][slot_symbol];
-        } else {
-          mts_response = base_rows[o][slot_symbol];
-          if (flipped) mts_response = -mts_response;
-        }
-        mts_response *= observations_[o].mts_amplitude * mts_gain[i];
-        const Complex channel = mts_response + env_rows[o][i];
-        received[o * oversample + j] =
-            tx_amplitude_ * channel * data[i] * pulse +
-            rng.ComplexNormal(subsample_noise_var);
+      // Two slots per symbol under cancellation, the second one flipped.
+      const SubSample sample =
+          config_.multipath_cancellation
+              ? SubSample{(slot >> 1) - static_cast<std::ptrdiff_t>(i),
+                          (slot & 1) == 1}
+              : SubSample{slot - static_cast<std::ptrdiff_t>(i), false};
+      if (!(samples[j] == sample)) {
+        samples[j] = sample;
+        same_samples = false;
       }
     }
-
-    if (!config_.multipath_cancellation) {
-      for (std::size_t o = 0; o < num_obs; ++o) {
-        Complex acc{0.0, 0.0};
-        for (std::size_t j = 0; j < oversample; ++j) {
-          acc += received[o * oversample + j];
-        }
-        z_rows[o][i] = acc / static_cast<double>(oversample);
-      }
-      continue;
+    if (!same_samples) {
+      combiner = DeriveCombiner(samples, config_.multipath_cancellation);
     }
+    const double noise_var = subsample_noise_var * combiner.weight_sq_sum;
 
     for (std::size_t o = 0; o < num_obs; ++o) {
-      std::array<Group, kMaxGroups> groups;
-      std::size_t num_groups = 0;
-      for (std::size_t j = 0; j < oversample; ++j) {
-        const int f = flipped_of[j];
-        const int p = pulse_of[j] > 0.0 ? 1 : 0;
-        Group* group = nullptr;
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          if (groups[g].symbol == slot_symbol_of[j] &&
-              groups[g].flipped == f && groups[g].pulse_positive == p) {
-            group = &groups[g];
-            break;
-          }
+      Complex mts_response{0.0, 0.0};
+      for (std::size_t s = 0; s < combiner.num_slots; ++s) {
+        const Combiner::Slot& slot = combiner.slots[s];
+        const auto symbol = static_cast<std::size_t>(
+            static_cast<std::ptrdiff_t>(i) + slot.symbol_delta);
+        Complex response;
+        if (slot.flipped && base_flip != nullptr) {
+          response = flip_rows[o][symbol];
+        } else {
+          response = base_rows[o][symbol];
+          if (slot.flipped) response = -response;
         }
-        if (group == nullptr) {
-          Check(num_groups < kMaxGroups,
-                "receive window spans more than three MTS slots");
-          group = &groups[num_groups++];
-          *group = {slot_symbol_of[j], f, p, {}};
-        }
-        group->stats.sum += received[o * oversample + j];
-        ++group->stats.count;
+        mts_response += slot.weight * response;
       }
-      const std::span<const Group> found(groups.data(), num_groups);
-      auto mean = [](const GroupStats& g) {
-        return g.sum / static_cast<double>(g.count);
-      };
-      // A pair (f1, +pulse) x (f2, -pulse) with f1 != f2 cancels the
-      // environment: mean_A + mean_B = ((-1)^{f1} w_A + (-1)^{f1} w_B) x,
-      // so +-(w_A + w_B)/2 * x survives. Same-symbol pairs recover w x
-      // exactly; cross-symbol pairs give the benign two-weight average.
-      Complex acc{0.0, 0.0};
-      double weight = 0.0;
-      auto combine_pairs = [&](bool same_symbol_only) {
-        for (const Group& a : found) {
-          if (a.pulse_positive != 1) continue;
-          for (const Group& b : found) {
-            if (b.pulse_positive != 0) continue;
-            if (a.flipped == b.flipped) continue;
-            if (same_symbol_only != (a.symbol == b.symbol)) continue;
-            const double sign = a.flipped == 0 ? 1.0 : -1.0;
-            const double w2 =
-                static_cast<double>(a.stats.count + b.stats.count);
-            acc += w2 * sign * 0.5 * (mean(a.stats) + mean(b.stats));
-            weight += w2;
-          }
-        }
-      };
-      combine_pairs(/*same_symbol_only=*/true);
-      if (weight == 0.0) combine_pairs(/*same_symbol_only=*/false);
-      if (weight > 0.0) {
-        z_rows[o][i] = acc / weight;
-      } else {
-        // No environment-cancelling pair at all (degenerate): fall back
-        // to pulse-matched averaging; the environment leaks.
-        Complex fallback{0.0, 0.0};
-        for (std::size_t j = 0; j < oversample; ++j) {
-          fallback += received[o * oversample + j] * pulse_of[j];
-        }
-        z_rows[o][i] = fallback / static_cast<double>(oversample);
-      }
+      mts_response *= observations_[o].mts_amplitude * mts_gain[i];
+      const Complex channel =
+          mts_response + combiner.env_weight * env_rows[o][i];
+      z_rows[o][i] =
+          tx_amplitude_ * channel * data[i] + rng.ComplexNormal(noise_var);
     }
   }
 

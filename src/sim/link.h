@@ -2,7 +2,8 @@
 //
 // Models one Tx -> {MTS reflection + environment} -> Rx link at symbol
 // resolution with sub-symbol oversampling, implementing the paper's
-// receive model (Eqn 3) together with:
+// receive model (Eqn 3) — as the exact linear combiner of the sub-samples,
+// with one noise draw per symbol — together with:
 //  * the multipath-cancellation scheme of §3.2: zero-mean half-symbol
 //    pulses with the MTS flipping every atom by pi at mid-symbol, so that
 //    plain integration over a symbol cancels any path that is static
@@ -78,7 +79,8 @@ struct OtaLinkConfig {
   /// MTS holds one configuration per symbol and the environment path adds
   /// directly onto the weight.
   bool multipath_cancellation = true;
-  /// Sub-samples per symbol for the time-resolved integration.
+  /// Sub-samples per symbol for the time-resolved integration: where
+  /// they fall against the MTS slots sets the receive combiner's weights.
   int oversample = 8;
   /// Std-dev (radians) of *static* per-atom phase errors — device
   /// discrepancies among meta-atoms (hardware noise N_d of Eqn 13). Drawn
@@ -137,7 +139,7 @@ class OtaLink {
   /// noise-free per-symbol responses B(o, i) * U(o, i), computed once with
   /// exactly the arithmetic TransmitSequence would use. Later
   /// TransmitSequence calls passing these same objects (found by address)
-  /// skip straight to the receive loop, bit for bit and draw for draw
+  /// skip straight to the receive path, bit for bit and draw for draw
   /// identical to an unprepared call.
   ///
   /// Lifetime contract (the one the graph reference carries): the
@@ -288,9 +290,10 @@ class OtaLink {
   /// Folds U(o, i) into `base` (and `base_flip`, when non-null).
   void ApplyUpperFactors(const LayerSchedules& upper, ComplexMatrix& base,
                          ComplexMatrix* base_flip) const;
-  /// The receive loop shared by prepared and unprepared transmissions:
-  /// interferer, oversampled reception with AWGN, receive combining and
-  /// the transmission probes. `base` holds the composed MTS responses;
+  /// The receive path shared by prepared and unprepared transmissions:
+  /// interferer, the closed-form receive combiner over the oversampled
+  /// window with one AWGN draw per (observation, symbol), and the
+  /// transmission probes. `base` holds the composed MTS responses;
   /// `base_flip`, when non-null, the separately realized mid-symbol
   /// flipped responses (pattern faults only; otherwise the flip is -base).
   ComplexMatrix Receive(std::span<const Complex> data,

@@ -62,6 +62,19 @@ TEST(FaultPlanTest, MalformedSpecsAreParseErrors) {
   }
 }
 
+// strtoull would wrap a negative seed and saturate an oversized one.
+TEST(FaultPlanTest, NegativeAndOverflowingSeedsAreParseErrors) {
+  for (const char* spec :
+       {"seed=-1", "seed=-0", "seed= -5", "seed=18446744073709551616",
+        "seed=99999999999999999999999"}) {
+    const Result<FaultPlan> result = TryParseFaultSpec(spec);
+    ASSERT_FALSE(result.ok()) << spec;
+    EXPECT_EQ(result.error().code, ErrorCode::kParseError) << spec;
+  }
+  EXPECT_EQ(TryParseFaultSpec("seed=18446744073709551615").value().seed,
+            18446744073709551615ull);
+}
+
 TEST(FaultPlanTest, OutOfRangeValuesAreInvalidArguments) {
   for (const char* spec :
        {"stuck=1.5", "chain=-0.1", "drift=-1", "age=-5", "burst=2:10",

@@ -61,7 +61,7 @@ TEST(CascadeLinkTest, TemporaryGraphIsRejectedAtCompileTime) {
 TEST(CascadeLinkTest, DepthOneCascadeLinkMatchesGolden) {
   // A single panel is the K=1 cascade. Its measurements are pinned to a
   // digest (z bytes, then the RNG stream position) so the depth-1 path
-  // stays bit for bit what the single-surface pipeline always produced.
+  // stays bit for bit what the single-surface pipeline produces.
   // Scalar kernels: the AVX2 PhasedSum may reassociate the sum.
   const simd::ScopedLevel scalar(simd::Level::kScalar);
   const mts::LayerGraph graph(mts::Metasurface{mts::MetasurfaceSpec{}});
@@ -82,7 +82,7 @@ TEST(CascadeLinkTest, DepthOneCascadeLinkMatchesGolden) {
   testutil::Fnv1a digest;
   digest.AddBytes(z.data(), z.size() * sizeof(Complex));
   digest.Add(rng.Next());
-  EXPECT_EQ(digest.value(), 0x70824d2a09afcfafull);
+  EXPECT_EQ(digest.value(), 0x8df7d71422500e29ull);
 }
 
 TEST(CascadeLinkTest, FocusedUpperLayerScalesByCoupling) {
@@ -148,12 +148,19 @@ TEST(CascadeLinkTest, UpperLayersSwitchPerSymbol) {
       0, std::vector<std::vector<mts::PhaseCode>>{rotated});
   // Rotating every code by one state multiplies the sum by e^{j pi/2}: the
   // factors are distinct but equal in magnitude, and the per-symbol ratio
-  // of the measurements must match the factor ratio.
+  // of the measurements must match the factor ratio up to noise.
   EXPECT_GT(std::abs(f0 - f1), 0.1);
   const Complex measured_ratio = z(0, 1) / z(0, 0);
   const Complex factor_ratio = f1 / f0;
+  // Each measurement is s_i + n_i with |n_i| <= 6 sigma (aligned clock: the
+  // combined noise has exactly the symbol variance). To first order
+  // z1/z0 - s1/s0 = (n1 - (s1/s0) n0) / s0, so the ratio error stays below
+  // 6 sigma (1 + |s1/s0|) / |s0|, with |s0| >= |z0| - 6 sigma.
+  const double six_sigma = 6.0 * std::sqrt(deep.SymbolNoiseVariance());
+  ASSERT_GT(std::abs(z(0, 0)), 2.0 * six_sigma);
   EXPECT_LT(std::abs(measured_ratio - factor_ratio),
-            1e-9 * std::abs(factor_ratio));
+            six_sigma * (1.0 + std::abs(factor_ratio)) /
+                (std::abs(z(0, 0)) - six_sigma));
 }
 
 TEST(CascadeLinkTest, ValidatesCascadeArguments) {

@@ -20,7 +20,9 @@
 #      behind ASan's noise floor. The JSON/JSONL reader, export, bench
 #      diff and obs-report suites (JsonFuzz included) run here too, with
 #      metaai_obs_report built for the ObsReportGolden test, and so does
-#      ParserFuzz over the model/pattern file loaders and fault specs.
+#      ParserFuzz over the model/pattern file loaders and fault specs. The
+#      link suites (receive combiner vs the sub-sample reference included)
+#      run here for the slot-index float->int casts of the receiver.
 #   5. SIMD parity + determinism under both dispatch paths: the kernel
 #      parity/determinism suites and the solver/mapper determinism
 #      suites run twice — METAAI_SIMD=off (forced scalar) and
@@ -62,12 +64,14 @@ cmake -B "${prefix}-ubsan" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=Debug -DMETAAI_SANITIZE=undefined -DMETAAI_OBS=ON
 cmake --build "${prefix}-ubsan" -j"$(nproc)" \
   --target test_obs test_serve test_mts test_fleet test_parser_fuzz \
-  metaai_obs_report
+  test_sim metaai_obs_report
 ubsan_filter='Ewma|Cusum|PageHinkley|WindowedQuantile|HealthMonitor'
 ubsan_filter+='|HealthSignals|ObserveProbe|Alert|Quantile|Percentile|Serve'
 ubsan_filter+='|Lifecycle|TimeSeries|LayerGraph|CascadeSolver|Fleet|Workload'
 ubsan_filter+='|Json|Export|BenchDiff|DiffBench|DistillBaseline'
 ubsan_filter+='|ExtractBenchMetric|ProbeJsonl|ObsReport|ParserFuzz'
+ubsan_filter+='|OtaLink|CascadeLink|PreparedLink|PreparedDeployment'
+ubsan_filter+='|ReceiveCombiner|SyncTest'
 ctest --test-dir "${prefix}-ubsan" --output-on-failure -R "${ubsan_filter}"
 
 echo "=== [5/6] SIMD parity + determinism under both dispatch paths"
